@@ -5,7 +5,8 @@ Layout: 5-byte magic "ULAM1", then a, b, term_count, horizon as unsigned
 unsigned LEB128 varints, then a CRC-32 of everything preceding it as
 unsigned 32-bit little-endian. Gaps rather than terms keep typical files
 near one byte per term. The checksum is verified before any other field
-is read.
+is read, and terms or a horizon beyond the engine's 2**62 value limit make
+the file corrupt.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import UlamParams, UlamPrefix, validate_params
+from .engine import _VALUE_LIMIT, UlamParams, UlamPrefix, validate_params
 from .errors import CorruptCache, InvalidParameters, VersionMismatch
 from .fsutil import atomic_write_bytes
 
@@ -25,43 +26,82 @@ _HEADER = struct.Struct("<4Q")
 _CRC = struct.Struct("<I")
 
 
-def _append_varint(buf: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            buf.append(byte | 0x80)
+def _encode_varints(values: np.ndarray) -> bytes:
+    """Concatenated LEB128 encodings of nonnegative uint64 values."""
+    levels = []  # per 7-bit group: indices of the values still going, bytes
+    lengths = np.zeros(values.size, dtype=np.int64)
+    idx = np.arange(values.size)
+    rest = values
+    while idx.size:
+        more = rest >= 0x80
+        group = (rest & 0x7F).astype(np.uint8)
+        group[more] |= 0x80
+        levels.append((idx, group))
+        lengths[idx] += 1
+        idx, rest = idx[more], rest[more] >> 7
+    starts = np.cumsum(lengths) - lengths
+    out = np.empty(int(lengths.sum()), dtype=np.uint8)
+    for j, (idx, group) in enumerate(levels):
+        out[starts[idx] + j] = group
+    return out.tobytes()
+
+
+def _decode_terms(payload: np.ndarray, term_count: int) -> np.ndarray:
+    """Terms from the first varint and the gaps after it.
+
+    Reports the first fault a byte-at-a-time reader would meet: an overlong
+    varint, a gap below 1 or a term beyond the engine's value limit, in
+    that order at each position, then a payload that ends too soon or has
+    bytes left over.
+    """
+    ends = np.flatnonzero(payload < 0x80)[:term_count]
+    lengths = np.diff(ends, prepend=-1)
+    starts = ends - lengths + 1
+    values = (payload[starts] & 0x7F).astype(np.uint64)
+    high = np.zeros(ends.size, dtype=bool)  # bits at or above 2**63 set
+    idx = np.flatnonzero(lengths > 1)
+    for j in range(1, 10):
+        group = payload[starts[idx] + j] & 0x7F
+        if j < 9:
+            values[idx] |= group.astype(np.uint64) << (7 * j)
         else:
-            buf.append(byte)
-            return
-
-
-def _read_varint(data: bytes, pos: int, end: int) -> tuple[int, int]:
-    value = 0
-    shift = 0
-    while True:
-        if pos >= end:
-            raise CorruptCache("varint runs past payload end")
-        if shift > 63:
+            high[idx] = group != 0
+        idx = idx[lengths[idx] > j + 1]
+    overlong = lengths > 10
+    zero = (values == 0) & ~high
+    zero[:1] = False  # the first varint is a term, not a gap
+    too_big = high | (values > _VALUE_LIMIT)
+    # Every summand is at most 2**62, so the sums are exact in uint64 up
+    # to and including the first one past the limit.
+    sums = np.cumsum(np.where(overlong | too_big, 0, values))
+    too_big |= sums > _VALUE_LIMIT
+    bad = np.flatnonzero(overlong | zero | too_big)
+    if bad.size:
+        i = int(bad[0])
+        if overlong[i]:
             raise CorruptCache("varint exceeds 64 bits")
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos
-        shift += 7
+        if zero[i]:
+            raise CorruptCache(f"non-increasing gap at term {i}")
+        raise CorruptCache(f"term {i} exceeds the value limit 2**62")
+    used = int(ends[-1]) + 1 if ends.size else 0
+    if ends.size < term_count:
+        # the bytes after the last terminator all continue one varint
+        raise CorruptCache("varint exceeds 64 bits" if payload.size - used > 10
+                           else "varint runs past payload end")
+    if used != payload.size:
+        raise CorruptCache(f"{payload.size - used} unread payload bytes")
+    return sums.astype(np.int64)
 
 
 def encode_prefix(prefix: UlamPrefix) -> bytes:
     terms = prefix.terms
-    buf = bytearray(MAGIC)
-    buf += _HEADER.pack(prefix.params.a, prefix.params.b,
-                        len(terms), prefix.horizon)
-    _append_varint(buf, int(terms[0]))
-    for gap in np.diff(terms):
-        _append_varint(buf, int(gap))
-    buf += _CRC.pack(zlib.crc32(buf))
-    return bytes(buf)
+    values = np.empty(len(terms), dtype=np.uint64)
+    values[0] = terms[0]
+    values[1:] = np.diff(terms)
+    body = (MAGIC + _HEADER.pack(prefix.params.a, prefix.params.b,
+                                 len(terms), prefix.horizon)
+            + _encode_varints(values))
+    return body + _CRC.pack(zlib.crc32(body))
 
 
 def decode_prefix(data: bytes) -> UlamPrefix:
@@ -84,24 +124,17 @@ def decode_prefix(data: bytes) -> UlamPrefix:
         raise CorruptCache(f"invalid parameters in header: {exc}") from exc
     if term_count < 2:
         raise CorruptCache(f"term count {term_count} below the two seeds")
-    pos = len(MAGIC) + _HEADER.size
-    end = len(data) - _CRC.size
-    value, pos = _read_varint(data, pos, end)
-    terms = np.empty(term_count, dtype=np.int64)
-    terms[0] = value
-    for i in range(1, term_count):
-        gap, pos = _read_varint(data, pos, end)
-        if gap < 1:
-            raise CorruptCache(f"non-increasing gap at term {i}")
-        value += gap
-        terms[i] = value
-    if pos != end:
-        raise CorruptCache(f"{end - pos} unread payload bytes")
+    start = len(MAGIC) + _HEADER.size
+    payload = np.frombuffer(data, dtype=np.uint8, offset=start,
+                            count=len(data) - _CRC.size - start)
+    terms = _decode_terms(payload, term_count)
     if int(terms[0]) != a or int(terms[1]) != b:
         raise CorruptCache("payload does not start with a, b")
     if horizon < int(terms[-1]):
         raise CorruptCache(
             f"horizon {horizon} below last term {int(terms[-1])}")
+    if horizon > _VALUE_LIMIT:
+        raise CorruptCache(f"horizon {horizon} exceeds the value limit 2**62")
     return UlamPrefix(params, terms, int(horizon))
 
 

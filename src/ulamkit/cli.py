@@ -25,8 +25,8 @@ from .engine import (MAX_HORIZON_DEFAULT, UlamParams, UlamPrefix, extend,
                      generate_count, generate_to_horizon,
                      require_analysis_grade, validate_params)
 from .errors import (AlignmentFailure, CorruptCache, FitFailure,
-                     InvalidParameters, StaleCandidate, UlamkitError,
-                     VersionMismatch)
+                     HorizonTooLarge, InvalidParameters, StaleCandidate,
+                     UlamkitError, VersionMismatch)
 from .fsutil import atomic_write_text
 from .mining import mine
 from .patterns import code_id, decode, encode
@@ -129,7 +129,7 @@ def _obtain_prefix_count(args, params: UlamParams, k: int) -> UlamPrefix:
     """Prefix holding at least k terms, reusing and growing the cache."""
     directory = _cache_dir(args)
     if directory is None:
-        return generate_count(params, k)
+        return generate_count(params, k, MAX_HORIZON_DEFAULT)
     directory.mkdir(parents=True, exist_ok=True)
     path = cache_path(directory, params)
     prefix = _read_cached(path, params)
@@ -137,6 +137,10 @@ def _obtain_prefix_count(args, params: UlamParams, k: int) -> UlamPrefix:
     if prefix is None:
         prefix = generate_to_horizon(params, params.b)
     while len(prefix) < k:
+        if prefix.horizon >= MAX_HORIZON_DEFAULT:
+            # the error generate_count raises at the cap
+            raise HorizonTooLarge(2 * prefix.horizon, MAX_HORIZON_DEFAULT,
+                                  partial=prefix)
         prefix = extend(prefix, min(2 * prefix.horizon, MAX_HORIZON_DEFAULT))
         grew = True
     if grew:

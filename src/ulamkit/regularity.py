@@ -94,11 +94,23 @@ def detect_period(gap_list, min_periods: int = 3,
         raise InvalidParameters("min_coverage must lie in (0, 1]")
     g = np.asarray(gap_list, dtype=np.int64)
     K = int(g.size)
+    # Z-algorithm (Gusfield 1997, sec. 1.3) over the reversed list s:
+    # z[p] is the longest common prefix of s and s[p:], so the longest
+    # p-periodic suffix of g has length p + z[p] (z[p] <= K - p). Each z[p]
+    # needs only earlier entries, so p is tested as soon as z[p] is known.
+    s = g[::-1].tolist()
+    z = [K] * (K // min_periods + 1)
+    left = right = 0
     for p in range(1, K // min_periods + 1):
-        viol = np.flatnonzero(g[p:] != g[:-p])
-        N = 0 if viol.size == 0 else int(viol[-1]) + 1
-        tail = K - N
+        n = min(right - p, z[p - left]) if p < right else 0
+        while p + n < K and s[n] == s[p + n]:
+            n += 1
+        if p + n > right:
+            left, right = p, p + n
+        z[p] = n
+        tail = p + n
         if tail >= min_periods * p and Fraction(tail, K) >= min_coverage:
+            N = K - tail
             period = tuple(int(x) for x in g[N:N + p])
             return PeriodicityCandidate(
                 N=N, p=p, period_gaps=period, G=sum(period),

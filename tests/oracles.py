@@ -6,8 +6,15 @@ must agree with these bit for bit on small inputs.
 """
 
 import re
+import struct
+import zlib
+from fractions import Fraction
 
 import numpy as np
+
+from ulamkit.engine import UlamPrefix, validate_params
+from ulamkit.errors import CorruptCache, InvalidParameters, VersionMismatch
+from ulamkit.regularity import PeriodicityCandidate
 
 
 def naive_ulam(a, b, horizon):
@@ -107,3 +114,124 @@ def parse_presburger(text):
             progs.append((int(match.group(2)), int(match.group(3))))
     return lambda m: (m in singletons or
                       any(m >= f and (m - f) % d == 0 for f, d in progs))
+
+
+def naive_detect_period(gap_list, min_periods=3, min_coverage=Fraction(1, 2)):
+    """Quadratic reference for regularity.detect_period.
+
+    Tries each period p in turn and finds its threshold N directly as one
+    past the last violation of g[k] == g[k+p].
+    """
+    if min_periods < 2:
+        raise InvalidParameters("min_periods must be at least 2")
+    if not 0 < min_coverage <= 1:
+        raise InvalidParameters("min_coverage must lie in (0, 1]")
+    g = np.asarray(gap_list, dtype=np.int64)
+    K = int(g.size)
+    for p in range(1, K // min_periods + 1):
+        viol = np.flatnonzero(g[p:] != g[:-p])
+        N = 0 if viol.size == 0 else int(viol[-1]) + 1
+        tail = K - N
+        if tail >= min_periods * p and Fraction(tail, K) >= min_coverage:
+            period = tuple(int(x) for x in g[N:N + p])
+            return PeriodicityCandidate(
+                N=N, p=p, period_gaps=period, G=sum(period),
+                periods_observed=tail // p,
+                coverage_fraction=Fraction(tail, K),
+            )
+    return None
+
+
+# Cache file layout, restated from the format description in ulamkit.cache.
+CACHE_MAGIC = b"ULAM1"
+CACHE_HEADER = struct.Struct("<4Q")
+CACHE_CRC = struct.Struct("<I")
+VALUE_LIMIT = 2**62  # largest term or horizon the engine works with
+
+
+def _append_varint(buf, value):
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            buf.append(byte | 0x80)
+        else:
+            buf.append(byte)
+            return
+
+
+def _read_varint(data, pos, end):
+    value = 0
+    shift = 0
+    while True:
+        if pos >= end:
+            raise CorruptCache("varint runs past payload end")
+        if shift > 63:
+            raise CorruptCache("varint exceeds 64 bits")
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value, pos
+        shift += 7
+
+
+def naive_encode_prefix(prefix):
+    """Byte-at-a-time reference for cache.encode_prefix."""
+    terms = prefix.terms
+    buf = bytearray(CACHE_MAGIC)
+    buf += CACHE_HEADER.pack(prefix.params.a, prefix.params.b,
+                             len(terms), prefix.horizon)
+    _append_varint(buf, int(terms[0]))
+    for gap in np.diff(terms):
+        _append_varint(buf, int(gap))
+    buf += CACHE_CRC.pack(zlib.crc32(buf))
+    return bytes(buf)
+
+
+def naive_decode_prefix(data):
+    """Byte-at-a-time reference for cache.decode_prefix.
+
+    Reads one varint at a time and raises at the first fault it meets,
+    with the same exception type and message as the real decoder.
+    """
+    if len(data) < len(CACHE_MAGIC) + CACHE_HEADER.size + CACHE_CRC.size:
+        raise CorruptCache(f"file too short ({len(data)} bytes)")
+    (stored_crc,) = CACHE_CRC.unpack_from(data, len(data) - CACHE_CRC.size)
+    if zlib.crc32(data[:-CACHE_CRC.size]) != stored_crc:
+        raise CorruptCache("checksum mismatch")
+    magic = data[:len(CACHE_MAGIC)]
+    if magic != CACHE_MAGIC:
+        if magic[:4] == CACHE_MAGIC[:4]:
+            raise VersionMismatch(
+                f"unsupported cache version {magic[4:5]!r}; expected "
+                f"{CACHE_MAGIC[4:5]!r}")
+        raise CorruptCache(f"bad magic {magic!r}")
+    a, b, term_count, horizon = CACHE_HEADER.unpack_from(data, len(CACHE_MAGIC))
+    try:
+        params = validate_params(a, b)
+    except InvalidParameters as exc:
+        raise CorruptCache(f"invalid parameters in header: {exc}") from exc
+    if term_count < 2:
+        raise CorruptCache(f"term count {term_count} below the two seeds")
+    pos = len(CACHE_MAGIC) + CACHE_HEADER.size
+    end = len(data) - CACHE_CRC.size
+    terms = []
+    value = 0
+    for i in range(term_count):
+        gap, pos = _read_varint(data, pos, end)
+        if i and gap < 1:
+            raise CorruptCache(f"non-increasing gap at term {i}")
+        value += gap
+        if value > VALUE_LIMIT:
+            raise CorruptCache(f"term {i} exceeds the value limit 2**62")
+        terms.append(value)
+    if pos != end:
+        raise CorruptCache(f"{end - pos} unread payload bytes")
+    if terms[0] != a or terms[1] != b:
+        raise CorruptCache("payload does not start with a, b")
+    if horizon < terms[-1]:
+        raise CorruptCache(f"horizon {horizon} below last term {terms[-1]}")
+    if horizon > VALUE_LIMIT:
+        raise CorruptCache(f"horizon {horizon} exceeds the value limit 2**62")
+    return UlamPrefix(params, np.array(terms, dtype=np.int64), horizon)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_decode_prefix, naive_encode_prefix
 from ulamkit.cache import (MAGIC, cache_path, cache_read, cache_write,
                            decode_prefix, encode_prefix)
 from ulamkit.engine import (UlamPrefix, generate_to_horizon, validate_params)
@@ -146,6 +147,122 @@ class TestRejection:
         head = MAGIC + struct.pack("<4Q", 1, 2, 2, 99)
         with pytest.raises(CorruptCache, match="64 bits"):
             decode_prefix(with_crc(head + b"\x80" * 10 + b"\x01\x01"))
+
+
+def varint(value: int, size: int = 1) -> bytes:
+    """LEB128 for value, padded with zero groups to at least size bytes."""
+    groups = []
+    while True:
+        groups.append(value & 0x7F)
+        value >>= 7
+        if not value:
+            break
+    groups += [0] * (size - len(groups))
+    return bytes(g | 0x80 for g in groups[:-1]) + bytes(groups[-1:])
+
+
+class TestOutOfRange:
+    """Out-of-range values are corrupt, not an escaping OverflowError.
+
+    Terms and the horizon may not exceed the engine's 2**62 value limit,
+    and a term count is never trusted to size an allocation.
+    """
+
+    def test_ten_byte_gap(self):
+        head = MAGIC + struct.pack("<4Q", 1, 2, 3, 99)
+        with pytest.raises(CorruptCache, match="value limit"):
+            decode_prefix(with_crc(head + b"\x01\x01" + b"\xff" * 9 + b"\x01"))
+
+    def test_two_gaps_of_two_to_the_62(self):
+        head = MAGIC + struct.pack("<4Q", 1, 2, 4, 99)
+        with pytest.raises(CorruptCache, match="value limit"):
+            decode_prefix(with_crc(head + b"\x01\x01" + varint(1 << 62) * 2))
+
+    def test_term_count(self):
+        data = encode_prefix(synthetic([1, 2, 3]))
+        head = MAGIC + struct.pack("<4Q", 1, 2, 2**64 - 1, 99)
+        with pytest.raises(CorruptCache, match="varint runs past"):
+            decode_prefix(with_crc(head + data[5 + 32:-4]))
+
+    def test_horizon(self):
+        data = encode_prefix(synthetic([1, 2, 3]))
+        head = MAGIC + struct.pack("<4Q", 1, 2, 3, (1 << 62) + 1)
+        with pytest.raises(CorruptCache, match="value limit"):
+            decode_prefix(with_crc(head + data[5 + 32:-4]))
+
+
+class TestOracle:
+    """The numpy codec against the byte-at-a-time reference."""
+
+    @given(st.lists(st.integers(0, 62), min_size=1, max_size=60),
+           st.integers(1, 1000), st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_encode_bytes(self, bit_lengths, first, slack):
+        # gaps drawn by bit length cover every varint size from 1 to 9 bytes
+        terms = [first, first + 1]
+        for n in bit_lengths:
+            if terms[-1] + (1 << n) + n >= 2**63:
+                break
+            terms.append(terms[-1] + (1 << n) + n)
+        prefix = synthetic(terms, horizon=min(terms[-1] + slack, 2**63 - 1))
+        assert encode_prefix(prefix) == naive_encode_prefix(prefix)
+
+    @given(st.integers(1, 1000),
+           st.lists(st.tuples(st.integers(1, 2**40), st.integers(1, 10)),
+                    min_size=1, max_size=60),
+           st.integers(1, 10), st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_decode_terms(self, a, gaps, first_size, slack):
+        # non-minimal encodings reach the 10-byte maximum with small values
+        terms = [a]
+        payload = varint(a, first_size)
+        for gap, size in gaps:
+            terms.append(terms[-1] + gap)
+            payload += varint(gap, size)
+        head = MAGIC + struct.pack("<4Q", terms[0], terms[1], len(terms),
+                                   terms[-1] + slack)
+        data = with_crc(head + payload)
+        back = decode_prefix(data)
+        expected = naive_decode_prefix(data)
+        assert back.term_list() == expected.term_list() == terms
+        assert back.horizon == expected.horizon
+        assert back.terms.dtype == np.int64
+
+    @staticmethod
+    def agree(count, horizon, payload):
+        """Same terms, or the same CorruptCache message, from both decoders."""
+        head = MAGIC + struct.pack("<4Q", 1, 2, count, horizon)
+        data = with_crc(head + payload)
+        try:
+            expected = naive_decode_prefix(data)
+        except CorruptCache as exc:
+            with pytest.raises(CorruptCache) as got:
+                decode_prefix(data)
+            assert str(got.value) == str(exc)
+        else:
+            back = decode_prefix(data)
+            assert back.term_list() == expected.term_list()
+            assert back.horizon == expected.horizon
+
+    @given(st.one_of(st.integers(0, 12), st.just(2**64 - 1)),
+           st.integers(0, 2**64 - 1), st.sampled_from([b"", b"\x01\x01"]),
+           st.binary(max_size=40))
+    @settings(max_examples=1000, deadline=None)
+    def test_arbitrary_payload(self, count, horizon, seeds, payload):
+        self.agree(count, horizon, seeds + payload)
+
+    @pytest.mark.parametrize("payload", [
+        pytest.param(b"\x00\x01\x01", id="first-term-0"),
+        pytest.param(b"\x01\x01\x00", id="zero-gap"),
+        pytest.param(b"\x01\x01" + b"\x80" * 9, id="9-open-bytes"),
+        pytest.param(b"\x01\x01" + b"\x80" * 10, id="10-open-bytes"),
+        pytest.param(b"\x01\x01" + b"\x80" * 11, id="11-open-bytes"),
+        pytest.param(b"\x01\x01" + b"\xff" * 9 + b"\x00", id="2**63-1"),
+        pytest.param(b"\x01\x01" + b"\x80" * 9 + b"\x01", id="2**63"),
+        pytest.param(b"\x01\x01" + b"\x80" * 9 + b"\x02", id="2**64"),
+    ])
+    def test_edge_payloads(self, payload):
+        self.agree(3, 99, payload)
 
 
 class TestFiles:

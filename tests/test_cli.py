@@ -1,9 +1,17 @@
 import json
+import os
+import struct
 import subprocess
 import sys
+import zlib
+from pathlib import Path
 
 import pytest
 
+import ulamkit
+from oracles import naive_ulam
+from ulamkit import cli
+from ulamkit.cache import cache_read
 from ulamkit.cli import main
 from ulamkit.patterns import decode
 
@@ -316,6 +324,49 @@ class TestCacheIntegration:
         assert obj["files"][0]["status"] == "CorruptCache"
 
 
+def out_of_range_cache(directory):
+    """U(1,2) file with a valid checksum whose third term exceeds 2**62."""
+    body = (b"ULAM1" + struct.pack("<4Q", 1, 2, 3, 99)
+            + b"\x01\x01" + b"\xff" * 9 + b"\x01")
+    path = directory / "u1_2.ulam"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return path
+
+
+class TestCacheRobustness:
+    def test_out_of_range_values_regenerated(self, capsys, tmp_path):
+        path = out_of_range_cache(tmp_path)
+        code, out, err = run(capsys, "member", "--a", "1", "--b", "2",
+                             "--m", "50", "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert out == f"{str(50 in naive_ulam(1, 2, 50)).lower()}\n"
+        assert "ignoring cache" in err and "value limit" in err
+        assert cache_read(path).horizon == 50
+
+    def test_out_of_range_values_reported(self, capsys, tmp_path):
+        out_of_range_cache(tmp_path)
+        code, obj = run_json(capsys, "cache", "info",
+                             "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert obj["files"][0]["status"] == "CorruptCache"
+
+    @pytest.mark.parametrize("command", [
+        ("nth", "--a", "1", "--b", "2", "--k", "500"),
+        ("generate", "--a", "1", "--b", "2", "--count", "500"),
+    ])
+    def test_horizon_cap_same_with_cache(self, capsys, tmp_path, monkeypatch,
+                                         command):
+        monkeypatch.setattr(cli, "MAX_HORIZON_DEFAULT", 1000)
+        d = str(tmp_path)
+        assert run(capsys, "generate", "--a", "1", "--b", "2",
+                   "--horizon", "1000", "--cache-dir", d)[0] == 0
+        without = run(capsys, *command)
+        with_cache = run(capsys, *command, "--cache-dir", d)
+        assert without == with_cache
+        assert without == (2, "", "error: horizon 2000 exceeds resource "
+                                  "limit 1000\n")
+
+
 class TestOutputFile:
     def test_out_is_atomic_and_quiet(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -358,9 +409,13 @@ class TestErrorMapping:
 
 
 def test_module_entry_point():
+    # the child imports the same ulamkit as this process, installed or not
+    src = str(Path(ulamkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "ulamkit.cli", "generate", "--a", "1",
          "--b", "2", "--horizon", "28"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert [int(x) for x in proc.stdout.split()] == U12

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_detect_period
 from ulamkit import engine, regularity
 from ulamkit.errors import InvalidParameters
 from ulamkit.patterns import PatternCode, PatternComponent
@@ -101,6 +102,42 @@ def test_detect_period_extension_invariance(head, period, reps):
     broken = gap_list + [max(gap_list) + 1]
     c3 = regularity.detect_period(broken)
     assert c3 is None or (c3.N, c3.p) != (c.N, c.p) or len(gap_list) < 2
+
+
+COVERAGES = st.one_of(
+    st.fractions(min_value=Fraction(1, 100), max_value=1),
+    st.floats(min_value=0.01, max_value=1.0),
+)
+
+
+class TestDetectPeriodOracle:
+    """The Z-function search against the quadratic per-period reference."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.lists(st.integers(1, 4), max_size=120),
+           st.sampled_from([2, 3, 4, 7]), COVERAGES)
+    def test_random_lists(self, gap_list, min_periods, min_coverage):
+        assert (regularity.detect_period(gap_list, min_periods, min_coverage)
+                == naive_detect_period(gap_list, min_periods, min_coverage))
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.lists(st.integers(1, 4), max_size=30),
+           st.lists(st.integers(1, 4), min_size=1, max_size=8),
+           st.integers(1, 15), st.integers(0, 7),
+           st.sampled_from([2, 3, 4, 7]), COVERAGES)
+    def test_eventually_periodic_lists(self, head, period, reps, cut,
+                                       min_periods, min_coverage):
+        gap_list = head + period * reps
+        gap_list = gap_list[:len(gap_list) - cut]
+        assert (regularity.detect_period(gap_list, min_periods, min_coverage)
+                == naive_detect_period(gap_list, min_periods, min_coverage))
+
+    @pytest.mark.parametrize("a, b, h", [(1, 2, 200_000), (2, 5, 20_000),
+                                         (1, 3, 20_000)])
+    def test_real_gaps(self, a, b, h):
+        gap_list = regularity.gaps(prefix(a, b, h))
+        assert (regularity.detect_period(gap_list)
+                == naive_detect_period(gap_list))
 
 
 class TestReconstruction:
