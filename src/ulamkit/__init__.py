@@ -2,7 +2,8 @@
 gap-regularity analysis, arithmetic-progression export, mining, and a CLI
 with a binary prefix cache."""
 
-from .cache import cache_read, cache_write, decode_prefix, encode_prefix
+from .cache import (PrefixStore, cache_read, cache_write, decode_prefix,
+                    encode_prefix)
 from .engine import (
     MAX_HORIZON_DEFAULT,
     UlamParams,
@@ -53,6 +54,7 @@ __all__ = [
     "PatternCode",
     "PatternComponent",
     "PeriodicityCandidate",
+    "PrefixStore",
     "SegmentReport",
     "UlamParams",
     "UlamPrefix",

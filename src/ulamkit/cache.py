@@ -12,13 +12,17 @@ the file corrupt.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .engine import _VALUE_LIMIT, UlamParams, UlamPrefix, validate_params
-from .errors import CorruptCache, InvalidParameters, VersionMismatch
+from .engine import (_VALUE_LIMIT, MAX_HORIZON_DEFAULT, UlamParams, UlamPrefix,
+                     _check_count, _check_target, _grow_to_count, extend,
+                     generate_to_horizon, validate_params)
+from .errors import (CorruptCache, HorizonTooLarge, InvalidParameters,
+                     VersionMismatch)
 from .fsutil import atomic_write_bytes
 
 MAGIC = b"ULAM1"
@@ -149,3 +153,62 @@ def cache_read(path) -> UlamPrefix:
 
 def cache_path(cache_dir, params: UlamParams) -> Path:
     return Path(cache_dir) / f"u{params.a}_{params.b}.ulam"
+
+
+class PrefixStore:
+    """The one cache-aware source of prefixes: a file per pair in `directory`.
+
+    `get` and `get_count` give the results and errors of generate_to_horizon
+    and generate_count; a cached count prefix may reach further. A corrupt
+    file is warned about and ignored. Only a prefix that grew is written,
+    also when a count stops at max_horizon. directory=None touches no disk.
+    """
+
+    def __init__(self, directory=None, max_horizon: int = MAX_HORIZON_DEFAULT):
+        self.directory = None if directory is None else Path(directory)
+        self.max_horizon = max_horizon
+
+    def get(self, params: UlamParams, horizon: int) -> UlamPrefix:
+        """The prefix with exactly this horizon."""
+        _check_target(params, horizon, self.max_horizon)
+        path, cached = self._load(params)
+        if cached is not None and cached.horizon >= horizon:
+            return cached if cached.horizon == horizon else cached.restrict(horizon)
+        prefix = (generate_to_horizon(params, horizon, self.max_horizon)
+                  if cached is None else extend(cached, horizon, self.max_horizon))
+        self._save(path, prefix)
+        return prefix
+
+    def get_count(self, params: UlamParams, k: int) -> UlamPrefix:
+        """A prefix holding at least the first k terms."""
+        _check_count(k)
+        path, cached = self._load(params)
+        prefix = (generate_to_horizon(params, params.b, self.max_horizon)
+                  if cached is None else cached)
+        try:
+            prefix = _grow_to_count(prefix, k, self.max_horizon)
+        except HorizonTooLarge as exc:
+            if exc.partial is not cached:
+                self._save(path, exc.partial)
+            raise
+        if prefix is not cached:
+            self._save(path, prefix)
+        return prefix
+
+    def _load(self, params: UlamParams) -> tuple[Path | None, UlamPrefix | None]:
+        if self.directory is None:
+            return None, None
+        path = cache_path(self.directory, params)
+        if not path.exists():
+            return path, None
+        try:
+            cached = cache_read(path)
+        except (CorruptCache, VersionMismatch) as exc:
+            print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
+            return path, None
+        return path, cached if cached.params == params else None
+
+    def _save(self, path: Path | None, prefix: UlamPrefix) -> None:
+        if path is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            cache_write(prefix, path)

@@ -17,16 +17,14 @@ import os
 import random
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import __version__
-from .cache import cache_path, cache_read, cache_write
-from .engine import (MAX_HORIZON_DEFAULT, UlamParams, UlamPrefix, extend,
-                     generate_count, generate_to_horizon,
-                     require_analysis_grade, validate_params)
+from .cache import PrefixStore, cache_path, cache_read
+from .engine import (MAX_HORIZON_DEFAULT, UlamParams, require_analysis_grade,
+                     validate_params)
 from .errors import (AlignmentFailure, CorruptCache, FitFailure,
-                     HorizonTooLarge, InvalidParameters, StaleCandidate,
-                     UlamkitError, VersionMismatch)
+                     InvalidParameters, StaleCandidate, UlamkitError,
+                     VersionMismatch)
 from .fsutil import atomic_write_text
 from .mining import mine
 from .patterns import code_id, decode, encode
@@ -34,8 +32,9 @@ from .progressions import (ap_decomposition, decomposition_obj,
                            effective_density, to_presburger_text)
 from .regularity import (density_inequality_check, detect_period, gaps,
                          residue_census)
-from .rigidity import (entry_obj, family_sweep, report_obj, sweep_csv,
-                       verify_segment, write_sweep_reports)
+from .rigidity import (_check_applicability, entry_obj, family_sweep,
+                       report_obj, sweep_csv, verify_segment,
+                       write_sweep_reports)
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -53,14 +52,6 @@ def _cell(v):
     return v
 
 
-def _kv_csv(obj: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(obj.keys())
-    writer.writerow(_cell(v) for v in obj.values())
-    return buf.getvalue()
-
-
 def _rows_csv(fields, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -68,6 +59,10 @@ def _rows_csv(fields, rows) -> str:
     for row in rows:
         writer.writerow(_cell(v) for v in row)
     return buf.getvalue()
+
+
+def _kv_csv(obj: dict) -> str:
+    return _rows_csv(obj.keys(), [obj.values()])
 
 
 def _emit(args, obj, text: str, csv_text: str | None = None) -> None:
@@ -86,66 +81,11 @@ def _emit(args, obj, text: str, csv_text: str | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# cache-aware prefix acquisition
+# prefix source
 
-def _cache_dir(args) -> Path | None:
-    if args.cache_dir:
-        return Path(args.cache_dir)
-    env = os.environ.get("ULAM_CACHE_DIR")
-    return Path(env) if env else None
-
-
-def _read_cached(path: Path, params: UlamParams) -> UlamPrefix | None:
-    if not path.exists():
-        return None
-    try:
-        cached = cache_read(path)
-    except (CorruptCache, VersionMismatch) as exc:
-        print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
-        return None
-    return cached if cached.params == params else None
-
-
-def _obtain_prefix(args, params: UlamParams, horizon: int) -> UlamPrefix:
-    """Prefix with exactly the requested horizon, via the cache when set."""
-    directory = _cache_dir(args)
-    if directory is None:
-        return generate_to_horizon(params, horizon)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = cache_path(directory, params)
-    cached = _read_cached(path, params)
-    if cached is None:
-        prefix = generate_to_horizon(params, horizon)
-        cache_write(prefix, path)
-        return prefix
-    if cached.horizon >= horizon:
-        return cached if cached.horizon == horizon else cached.restrict(horizon)
-    prefix = extend(cached, horizon)
-    cache_write(prefix, path)
-    return prefix
-
-
-def _obtain_prefix_count(args, params: UlamParams, k: int) -> UlamPrefix:
-    """Prefix holding at least k terms, reusing and growing the cache."""
-    directory = _cache_dir(args)
-    if directory is None:
-        return generate_count(params, k, MAX_HORIZON_DEFAULT)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = cache_path(directory, params)
-    prefix = _read_cached(path, params)
-    grew = prefix is None
-    if prefix is None:
-        prefix = generate_to_horizon(params, params.b)
-    while len(prefix) < k:
-        if prefix.horizon >= MAX_HORIZON_DEFAULT:
-            # the error generate_count raises at the cap
-            raise HorizonTooLarge(2 * prefix.horizon, MAX_HORIZON_DEFAULT,
-                                  partial=prefix)
-        prefix = extend(prefix, min(2 * prefix.horizon, MAX_HORIZON_DEFAULT))
-        grew = True
-    if grew:
-        cache_write(prefix, path)
-    return prefix
+def _store(args) -> PrefixStore:
+    directory = args.cache_dir or os.environ.get("ULAM_CACHE_DIR") or None
+    return PrefixStore(directory, MAX_HORIZON_DEFAULT)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +116,14 @@ def _fraction(text: str, flag: str) -> Fraction:
         raise InvalidParameters(f"{flag} expects a rational like 1/2 or 0.5")
 
 
+def _count_for(args, params: UlamParams) -> int:
+    if args.n < 0:
+        raise InvalidParameters(f"n must be nonnegative, got {args.n}")
+    if args.n < params.a:
+        return 0
+    return _store(args).get(params, max(args.n, params.b)).count_to(args.n)
+
+
 def _candidate_obj(cand) -> dict:
     return {
         "N": cand.N,
@@ -187,11 +135,14 @@ def _candidate_obj(cand) -> dict:
     }
 
 
-def _detect_for(args, prefix) -> object:
-    require_analysis_grade(prefix.params, args.allow_non_coprime)
-    return detect_period(gaps(prefix), min_periods=args.min_periods,
-                         min_coverage=_fraction(args.min_coverage,
-                                                "--min-coverage"))
+def _detect_for(args):
+    """The prefix a period command analyses, and its period candidate."""
+    params = _params(args)
+    require_analysis_grade(params, args.allow_non_coprime)
+    prefix = _store(args).get(params, args.horizon)
+    return prefix, detect_period(gaps(prefix), min_periods=args.min_periods,
+                                 min_coverage=_fraction(args.min_coverage,
+                                                        "--min-coverage"))
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +151,11 @@ def _detect_for(args, prefix) -> object:
 def cmd_generate(args) -> int:
     params = _params(args)
     if args.count is not None:
-        prefix = _obtain_prefix_count(args, params, args.count)
+        prefix = _store(args).get_count(params, args.count)
         terms = prefix.term_list()[:args.count]
         horizon = int(terms[-1])
     else:
-        prefix = _obtain_prefix(args, params, args.horizon)
+        prefix = _store(args).get(params, args.horizon)
         terms = prefix.term_list()
         horizon = prefix.horizon
     obj = {"a": params.a, "b": params.b, "horizon": horizon,
@@ -218,8 +169,7 @@ def cmd_member(args) -> int:
     params = _params(args)
     if args.m < 1:
         raise InvalidParameters(f"m must be positive, got {args.m}")
-    prefix = _obtain_prefix(args, params, max(args.m, params.b))
-    member = prefix.contains(args.m)
+    member = _store(args).get(params, max(args.m, params.b)).contains(args.m)
     obj = {"a": params.a, "b": params.b, "m": args.m, "member": member}
     _emit(args, obj, "true" if member else "false")
     return EXIT_OK
@@ -227,10 +177,7 @@ def cmd_member(args) -> int:
 
 def cmd_nth(args) -> int:
     params = _params(args)
-    if args.k < 1:
-        raise InvalidParameters(f"k must be positive, got {args.k}")
-    prefix = _obtain_prefix_count(args, params, args.k)
-    term = int(prefix.terms[args.k - 1])
+    term = int(_store(args).get_count(params, args.k).terms[args.k - 1])
     obj = {"a": params.a, "b": params.b, "k": args.k, "term": term}
     _emit(args, obj, str(term))
     return EXIT_OK
@@ -238,13 +185,7 @@ def cmd_nth(args) -> int:
 
 def cmd_count(args) -> int:
     params = _params(args)
-    if args.n < 0:
-        raise InvalidParameters(f"n must be nonnegative, got {args.n}")
-    if args.n < params.a:
-        count = 0
-    else:
-        prefix = _obtain_prefix(args, params, max(args.n, params.b))
-        count = prefix.count_to(args.n)
+    count = _count_for(args, params)
     obj = {"a": params.a, "b": params.b, "n": args.n, "count": count}
     _emit(args, obj, str(count))
     return EXIT_OK
@@ -252,7 +193,7 @@ def cmd_count(args) -> int:
 
 def cmd_gaps(args) -> int:
     params = _params(args)
-    prefix = _obtain_prefix(args, params, args.horizon)
+    prefix = _store(args).get(params, args.horizon)
     gap_list = gaps(prefix)
     obj = {"a": params.a, "b": params.b, "horizon": prefix.horizon,
            "gap_count": len(gap_list), "gaps": gap_list}
@@ -262,25 +203,20 @@ def cmd_gaps(args) -> int:
 
 
 def cmd_detect_period(args) -> int:
-    params = _params(args)
-    require_analysis_grade(params, args.allow_non_coprime)
-    prefix = _obtain_prefix(args, params, args.horizon)
-    cand = _detect_for(args, prefix)
-    obj = {"a": params.a, "b": params.b, "horizon": prefix.horizon,
-           "candidate": None if cand is None else _candidate_obj(cand)}
+    prefix, cand = _detect_for(args)
+    flat = {"a": args.a, "b": args.b, "horizon": prefix.horizon}
+    obj = dict(flat, candidate=None if cand is None else _candidate_obj(cand))
     if cand is None:
         text = "no periodic gap tail detected"
-        flat = {"a": params.a, "b": params.b, "horizon": prefix.horizon}
     else:
         text = (f"N={cand.N} p={cand.p} G={cand.G} "
                 f"periods={cand.periods_observed} "
                 f"coverage={cand.coverage_fraction}\n"
                 f"period gaps: {' '.join(str(g) for g in cand.period_gaps)}")
-        flat = {"a": params.a, "b": params.b, "horizon": prefix.horizon,
-                "N": cand.N, "p": cand.p, "G": cand.G,
-                "periods_observed": cand.periods_observed,
-                "coverage": str(cand.coverage_fraction),
-                "period_gaps": " ".join(str(g) for g in cand.period_gaps)}
+        flat.update(N=cand.N, p=cand.p, G=cand.G,
+                    periods_observed=cand.periods_observed,
+                    coverage=str(cand.coverage_fraction),
+                    period_gaps=" ".join(str(g) for g in cand.period_gaps))
     _emit(args, obj, text, _kv_csv(flat))
     if cand is None and args.expect_agree:
         return EXIT_REFUTED
@@ -290,13 +226,7 @@ def cmd_detect_period(args) -> int:
 def cmd_density(args) -> int:
     params = _params(args)
     require_analysis_grade(params, args.allow_non_coprime)
-    if args.n < 0:
-        raise InvalidParameters(f"n must be nonnegative, got {args.n}")
-    if args.n < params.a:
-        count = 0
-    else:
-        prefix = _obtain_prefix(args, params, max(args.n, params.b))
-        count = prefix.count_to(args.n)
+    count = _count_for(args, params)
     ratio = Fraction(count, args.n + 1)
     obj = {"a": params.a, "b": params.b, "n": args.n, "count": count,
            "ratio": float(ratio), "ratio_fraction": str(ratio)}
@@ -309,17 +239,15 @@ def cmd_density_check(args) -> int:
     params = _params(args)
     require_analysis_grade(params, args.allow_non_coprime)
     q = _fraction(args.q, "--q")
-    prefix = _obtain_prefix(args, params, max(args.n_max, params.b))
+    prefix = _store(args).get(params, max(args.n_max, params.b))
     result = density_inequality_check(
         params, q.numerator, q.denominator, args.k, args.n_from, args.n_max,
         allow_non_coprime=args.allow_non_coprime, prefix=prefix)
     obj = {"a": params.a, "b": params.b, "q": str(q), "k": args.k,
            "n_from": args.n_from, "n_max": args.n_max,
            "holds": result.holds, "first_violation": result.first_violation}
-    if result.holds:
-        text = f"holds for all n in [{args.n_from}, {args.n_max}]"
-    else:
-        text = f"violated at n={result.first_violation}"
+    text = (f"holds for all n in [{args.n_from}, {args.n_max}]" if result.holds
+            else f"violated at n={result.first_violation}")
     _emit(args, obj, text)
     if not result.holds and args.expect_agree:
         return EXIT_REFUTED
@@ -328,7 +256,8 @@ def cmd_density_check(args) -> int:
 
 def cmd_census(args) -> int:
     params = _params(args)
-    prefix = _obtain_prefix(args, params, args.horizon)
+    require_analysis_grade(params, args.allow_non_coprime)
+    prefix = _store(args).get(params, args.horizon)
     residues = ([args.residue] if args.residue is not None
                 else list(range(args.modulus)))
     rows = []
@@ -347,15 +276,15 @@ def cmd_census(args) -> int:
                      f"largest={row['largest']} ({tail})")
     _emit(args, obj, "\n".join(lines),
           _rows_csv(("residue", "count", "largest", "tail_from"),
-                    [(r["residue"], r["count"], r["largest"], r["tail_from"])
-                     for r in rows]))
+                    [tuple(r.values()) for r in rows]))
     return EXIT_OK
 
 
 def cmd_verify_pattern(args) -> int:
     params = _params(args)
     code = _load_code(args.code)
-    prefix = _obtain_prefix(args, params, max(args.hi, params.b))
+    _check_applicability(code, params, args.override_applicability)
+    prefix = _store(args).get(params, max(args.hi, params.b))
     report = verify_segment(code, params, args.lo, args.hi, prefix=prefix,
                             override_applicability=args.override_applicability)
     obj = report_obj(report)
@@ -367,10 +296,9 @@ def cmd_verify_pattern(args) -> int:
         text = (f"mismatch at {m} ({direction}); "
                 f"{report.matched_count} positions agreed before it")
     flat = dict(obj)
-    mismatch = flat.pop("first_mismatch")
-    flat["mismatch_m"] = None if mismatch is None else mismatch["m"]
-    flat["mismatch_direction"] = (None if mismatch is None
-                                  else mismatch["direction"])
+    mismatch = flat.pop("first_mismatch") or {}
+    flat["mismatch_m"] = mismatch.get("m")
+    flat["mismatch_direction"] = mismatch.get("direction")
     _emit(args, obj, text, _kv_csv(flat))
     if not report.agrees and args.expect_agree:
         return EXIT_REFUTED
@@ -458,33 +386,31 @@ def _write_mine_log(args, events) -> None:
 
 
 def _decomposition_for(args):
-    params = _params(args)
-    require_analysis_grade(params, args.allow_non_coprime)
-    prefix = _obtain_prefix(args, params, args.horizon)
-    cand = _detect_for(args, prefix)
+    """The AP decomposition to export, or None once the refusal is printed."""
+    prefix, cand = _detect_for(args)
     if cand is None:
         print("no periodic gap tail detected; nothing to export",
               file=sys.stderr)
         return None
-    return ap_decomposition(prefix, cand,
-                            allow_non_coprime=args.allow_non_coprime)
-
-
-def cmd_export_ap(args) -> int:
     try:
-        decomp = _decomposition_for(args)
+        return ap_decomposition(prefix, cand,
+                                allow_non_coprime=args.allow_non_coprime)
     except StaleCandidate as exc:
         print(f"candidate refuted by the prefix itself: {exc}",
               file=sys.stderr)
-        return EXIT_REFUTED
+        return None
+
+
+def cmd_export_ap(args) -> int:
+    decomp = _decomposition_for(args)
     if decomp is None:
         return EXIT_REFUTED
-    obj = decomposition_obj(decomp)
-    obj["density"] = str(effective_density(decomp))
+    density = effective_density(decomp)
+    obj = dict(decomposition_obj(decomp), density=str(density))
     lines = [f"initial set: {list(decomp.initial_set)}"]
     lines += [f"progression: {first} + {diff}·t"
               for first, diff in decomp.progressions]
-    lines.append(f"tail density: {effective_density(decomp)}")
+    lines.append(f"tail density: {density}")
     rows = [("singleton", v, None) for v in decomp.initial_set]
     rows += [("progression", first, diff)
              for first, diff in decomp.progressions]
@@ -494,12 +420,7 @@ def cmd_export_ap(args) -> int:
 
 
 def cmd_export_presburger(args) -> int:
-    try:
-        decomp = _decomposition_for(args)
-    except StaleCandidate as exc:
-        print(f"candidate refuted by the prefix itself: {exc}",
-              file=sys.stderr)
-        return EXIT_REFUTED
+    decomp = _decomposition_for(args)
     if decomp is None:
         return EXIT_REFUTED
     formula = to_presburger_text(decomp)
@@ -510,7 +431,7 @@ def cmd_export_presburger(args) -> int:
 
 
 def cmd_cache_info(args) -> int:
-    directory = _cache_dir(args)
+    directory = _store(args).directory
     if directory is None:
         raise InvalidParameters(
             "no cache directory (use --cache-dir or ULAM_CACHE_DIR)")
@@ -557,11 +478,19 @@ def cmd_cache_info(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _pair_args(p, b_name="--b"):
+def _pair_args(p):
     p.add_argument("--a", type=int, required=True,
                    help="smaller starting term")
-    p.add_argument(b_name, type=int, required=True,
+    p.add_argument("--b", type=int, required=True,
                    help="larger starting term")
+
+
+def _period_args(p):
+    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--min-periods", type=int, default=3,
+                   help="full periods the tail must span (default 3)")
+    p.add_argument("--min-coverage", default="1/2",
+                   help="least fraction of gaps in the tail (default 1/2)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -626,11 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect-period", parents=[common],
                        help="search for an eventually periodic gap tail")
     _pair_args(p)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--min-periods", type=int, default=3,
-                   help="full periods the tail must span (default 3)")
-    p.add_argument("--min-coverage", default="1/2",
-                   help="least fraction of gaps in the tail (default 1/2)")
+    _period_args(p)
     p.set_defaults(func=cmd_detect_period)
 
     p = sub.add_parser("density", parents=[common],
@@ -707,17 +632,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-ap", parents=[common],
                        help="initial set + arithmetic progressions of the tail")
     _pair_args(p)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--min-periods", type=int, default=3)
-    p.add_argument("--min-coverage", default="1/2")
+    _period_args(p)
     p.set_defaults(func=cmd_export_ap)
 
     p = sub.add_parser("export-presburger", parents=[common],
                        help="membership formula of the decided set")
     _pair_args(p)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--min-periods", type=int, default=3)
-    p.add_argument("--min-coverage", default="1/2")
+    _period_args(p)
     p.set_defaults(func=cmd_export_presburger)
 
     p = sub.add_parser("cache", help="cache maintenance")

@@ -102,6 +102,29 @@ def _check_horizon(requested: int, max_horizon: int, partial=None) -> None:
         raise InvalidParameters("horizon exceeds the 64-bit working range")
 
 
+def _check_target(params: UlamParams, horizon: int, max_horizon: int) -> None:
+    """Reject a horizon that generate_to_horizon would refuse."""
+    if horizon < params.b:
+        raise InvalidParameters(f"horizon {horizon} below b={params.b}")
+    _check_horizon(horizon, max_horizon)
+
+
+def _check_count(k: int) -> None:
+    if k < 1:
+        raise InvalidParameters(f"k must be positive, got {k}")
+
+
+def _grow_to_count(prefix: UlamPrefix, k: int, max_horizon: int) -> UlamPrefix:
+    """Double the horizon (capped) until k terms; the cap error keeps the prefix."""
+    while len(prefix) < k:
+        if prefix.horizon >= max_horizon:
+            raise HorizonTooLarge(2 * prefix.horizon, max_horizon,
+                                  partial=prefix)
+        prefix = extend(prefix, min(2 * prefix.horizon, max_horizon),
+                        max_horizon)
+    return prefix
+
+
 def _run_sieve(terms: np.ndarray, n_terms: int, counts: np.ndarray,
                scan_pos: int, horizon: int) -> tuple[np.ndarray, int]:
     """Admit terms until no candidate <= horizon remains.
@@ -140,9 +163,7 @@ def generate_to_horizon(params: UlamParams, horizon: int,
                         max_horizon: int = MAX_HORIZON_DEFAULT) -> UlamPrefix:
     """All terms <= horizon, in increasing order. Requires horizon >= b."""
     a, b = params.a, params.b
-    if horizon < b:
-        raise InvalidParameters(f"horizon {horizon} below b={b}")
-    _check_horizon(horizon, max_horizon)
+    _check_target(params, horizon, max_horizon)
     counts = np.zeros(horizon + 1, dtype=np.int32)
     terms = np.empty(4096, dtype=np.int64)
     terms[0], terms[1] = a, b
@@ -188,17 +209,9 @@ def extend(prefix: UlamPrefix, new_horizon: int,
 def generate_count(params: UlamParams, k: int,
                    max_horizon: int = MAX_HORIZON_DEFAULT) -> UlamPrefix:
     """A prefix holding at least the first k terms (horizon grows by doubling)."""
-    if k < 1:
-        raise InvalidParameters(f"k must be positive, got {k}")
-    horizon = params.b
-    _check_horizon(horizon, max_horizon)
-    prefix = generate_to_horizon(params, horizon, max_horizon)
-    while len(prefix) < k:
-        if horizon >= max_horizon:
-            raise HorizonTooLarge(2 * horizon, max_horizon, partial=prefix)
-        horizon = min(2 * horizon, max_horizon)
-        prefix = extend(prefix, horizon, max_horizon)
-    return prefix
+    _check_count(k)
+    return _grow_to_count(generate_to_horizon(params, params.b, max_horizon),
+                          k, max_horizon)
 
 
 def is_member(params: UlamParams, m: int,

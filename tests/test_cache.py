@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_decode_prefix, naive_encode_prefix
-from ulamkit.cache import (MAGIC, cache_path, cache_read, cache_write,
-                           decode_prefix, encode_prefix)
-from ulamkit.engine import (UlamPrefix, generate_to_horizon, validate_params)
-from ulamkit.errors import CorruptCache, VersionMismatch
+import ulamkit.cache
+from oracles import naive_decode_prefix, naive_encode_prefix, naive_ulam
+from ulamkit.cache import (MAGIC, PrefixStore, cache_path, cache_read,
+                           cache_write, decode_prefix, encode_prefix)
+from ulamkit.engine import (UlamPrefix, generate_count, generate_to_horizon,
+                            validate_params)
+from ulamkit.errors import (CorruptCache, HorizonTooLarge, InvalidParameters,
+                            VersionMismatch)
 
 U12 = [1, 2, 3, 4, 6, 8, 11, 13, 16, 18, 26, 28]
 
@@ -287,3 +290,145 @@ class TestFiles:
         cache_write(big, path)
         assert cache_read(path).horizon == 2000
         assert len(list(tmp_path.iterdir())) == 1
+
+
+STORE_PAIRS = [(1, 2), (2, 5), (3, 4)]
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """Horizons of the prefixes the store writes, in order."""
+    log = []
+    real = ulamkit.cache.cache_write
+
+    def recording(prefix, path):
+        log.append(prefix.horizon)
+        real(prefix, path)
+    monkeypatch.setattr(ulamkit.cache, "cache_write", recording)
+    return log
+
+
+def assert_direct(prefix, params, horizon):
+    """The prefix is direct generation at `horizon`, and the oracle's too."""
+    want = generate_to_horizon(params, horizon)
+    assert prefix.params == params and prefix.horizon == horizon
+    assert np.array_equal(prefix.terms, want.terms)
+    assert prefix.term_list() == naive_ulam(params.a, params.b, horizon)
+
+
+def assert_count(prefix, params, k):
+    """The first k terms are generate_count's, and the whole prefix is
+    direct generation at its own horizon."""
+    want = generate_count(params, k)
+    assert len(prefix) >= k
+    assert np.array_equal(prefix.terms[:k], want.terms[:k])
+    assert_direct(prefix, params, prefix.horizon)
+
+
+class TestPrefixStore:
+    @pytest.mark.parametrize("a,b", STORE_PAIRS)
+    def test_get_on_every_path(self, tmp_path, capsys, writes, a, b):
+        params = validate_params(a, b)
+        store = PrefixStore(tmp_path)
+        path = cache_path(tmp_path, params)
+        assert_direct(store.get(params, 200), params, 200)      # miss
+        assert writes == [200]
+        stored = path.read_bytes()
+        assert_direct(store.get(params, 200), params, 200)      # hit
+        assert_direct(store.get(params, 120), params, 120)      # restrict
+        assert writes == [200] and path.read_bytes() == stored
+        assert_direct(store.get(params, 400), params, 400)      # extend
+        assert writes == [200, 400]
+        path.write_bytes(b"garbage")
+        assert_direct(store.get(params, 300), params, 300)      # corrupt
+        assert writes == [200, 400, 300]
+        assert f"warning: ignoring cache {path}: " in capsys.readouterr().err
+        assert cache_read(path).horizon == 300
+
+    @pytest.mark.parametrize("a,b", STORE_PAIRS)
+    def test_get_without_directory(self, tmp_path, writes, a, b):
+        params = validate_params(a, b)
+        store = PrefixStore()
+        assert store.directory is None
+        for horizon in (b, 150, 90):
+            assert_direct(store.get(params, horizon), params, horizon)
+        assert writes == []
+
+    @pytest.mark.parametrize("a,b", STORE_PAIRS)
+    def test_get_count_on_every_path(self, tmp_path, capsys, writes, a, b):
+        params = validate_params(a, b)
+        store = PrefixStore(tmp_path)
+        path = cache_path(tmp_path, params)
+        # miss: exactly generate_count's prefix
+        got = store.get_count(params, 20)
+        want = generate_count(params, 20)
+        assert got.horizon == want.horizon
+        assert_count(got, params, 20)
+        assert writes == [want.horizon]
+        stored = path.read_bytes()
+        assert_count(store.get_count(params, 5), params, 5)     # hit
+        assert writes == [want.horizon] and path.read_bytes() == stored
+        grown = store.get_count(params, 60)                     # count growth
+        assert_count(grown, params, 60)
+        assert writes == [want.horizon, grown.horizon]
+        path.write_bytes(b"garbage")
+        assert_count(store.get_count(params, 10), params, 10)   # corrupt
+        assert len(writes) == 3
+        assert "warning: ignoring cache" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a,b", STORE_PAIRS)
+    def test_get_count_without_directory(self, writes, a, b):
+        params = validate_params(a, b)
+        for k in (1, 2, 3, 40):
+            got = PrefixStore().get_count(params, k)
+            want = generate_count(params, k)
+            assert got.horizon == want.horizon
+            assert_count(got, params, k)
+        assert writes == []
+
+    def test_mismatched_file_is_regenerated(self, tmp_path, writes):
+        params = validate_params(1, 2)
+        path = cache_path(tmp_path, params)
+        cache_write(generate_to_horizon(validate_params(1, 3), 500), path)
+        assert_direct(PrefixStore(tmp_path).get(params, 100), params, 100)
+        assert cache_read(path).params == params
+
+    @pytest.mark.parametrize("directory", [None, "cache"])
+    def test_count_below_one_refused(self, tmp_path, writes, directory):
+        store = PrefixStore(directory and tmp_path / directory)
+        for k in (0, -3):
+            with pytest.raises(InvalidParameters, match="k must be positive"):
+                store.get_count(validate_params(1, 2), k)
+        assert writes == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("horizon", [3, 1001])
+    def test_get_errors_same_with_cache(self, tmp_path, horizon):
+        params = validate_params(1, 5)
+        with pytest.raises(Exception) as direct:
+            generate_to_horizon(params, horizon, max_horizon=1000)
+        store = PrefixStore(tmp_path, max_horizon=1000)
+        store.get(params, 1000)
+        stored = cache_path(tmp_path, params).read_bytes()
+        for cached in (PrefixStore(max_horizon=1000), store):
+            with pytest.raises(type(direct.value)) as exc:
+                cached.get(params, horizon)
+            assert str(exc.value) == str(direct.value)
+        assert cache_path(tmp_path, params).read_bytes() == stored
+
+    def test_count_cap_keeps_partial_prefix(self, tmp_path, writes):
+        params = validate_params(1, 2)
+        with pytest.raises(HorizonTooLarge) as direct:
+            generate_count(params, 500, max_horizon=1000)
+        store = PrefixStore(tmp_path, max_horizon=1000)
+        with pytest.raises(HorizonTooLarge) as exc:
+            store.get_count(params, 500)
+        assert str(exc.value) == str(direct.value)
+        assert exc.value.partial.horizon == 1000
+        assert writes == [1000]
+        assert_direct(cache_read(cache_path(tmp_path, params)), params, 1000)
+        # a second request reads the kept prefix, fails the same way and
+        # writes nothing
+        with pytest.raises(HorizonTooLarge) as again:
+            store.get_count(params, 500)
+        assert str(again.value) == str(direct.value)
+        assert writes == [1000]

@@ -367,6 +367,55 @@ class TestCacheRobustness:
                                   "limit 1000\n")
 
 
+EVEN_B_CODE = BLOCK_CODE.replace('"modulus": 1', '"modulus": 2')
+
+
+class TestCacheParity:
+    """Errors and exit codes do not depend on --cache-dir."""
+
+    def test_cap_keeps_partial_prefix(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_HORIZON_DEFAULT", 1000)
+        d = tmp_path / "cache"
+        command = ("nth", "--a", "1", "--b", "2", "--k", "500")
+        without = run(capsys, *command)
+        assert without == (2, "", "error: horizon 2000 exceeds resource "
+                                  "limit 1000\n")
+        assert run(capsys, *command, "--cache-dir", str(d)) == without
+        kept = cache_read(d / "u1_2.ulam")
+        assert kept.horizon == 1000
+        assert kept.term_list() == naive_ulam(1, 2, 1000)
+
+    def test_horizon_below_b(self, capsys, tmp_path):
+        d = str(tmp_path)
+        assert run(capsys, "gaps", "--a", "1", "--b", "5", "--horizon", "100",
+                   "--cache-dir", d)[0] == 0
+        command = ("gaps", "--a", "1", "--b", "5", "--horizon", "3")
+        without = run(capsys, *command)
+        assert without == (2, "", "error: horizon 3 below b=5\n")
+        assert run(capsys, *command, "--cache-dir", d) == without
+
+    def test_count_zero(self, capsys, tmp_path):
+        d = str(tmp_path)
+        assert run(capsys, "generate", "--a", "1", "--b", "2", "--horizon",
+                   "100", "--cache-dir", d)[0] == 0
+        command = ("generate", "--a", "1", "--b", "2", "--count", "0")
+        without = run(capsys, *command)
+        assert without == (2, "", "error: k must be positive, got 0\n")
+        assert run(capsys, *command, "--cache-dir", d) == without
+
+    @pytest.mark.parametrize("command, reason", [
+        (("census", "--a", "2", "--b", "4", "--horizon", "100",
+          "--modulus", "3"), "is not coprime"),
+        (("verify-pattern", "--a", "1", "--b", "3", "--code", EVEN_B_CODE,
+          "--lo", "1", "--hi", "40"), "code claims b ≡ 0 (mod 2), got b=3"),
+    ])
+    def test_refusal_writes_no_cache(self, capsys, tmp_path, command, reason):
+        without = run(capsys, *command)
+        assert without[:2] == (2, "") and reason in without[2]
+        assert run(capsys, *command, "--cache-dir", str(tmp_path)) == without
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestOutputFile:
     def test_out_is_atomic_and_quiet(self, capsys, tmp_path):
         target = tmp_path / "report.json"
