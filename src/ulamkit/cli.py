@@ -30,7 +30,8 @@ from .mining import mine
 from .patterns import code_id, decode, encode
 from .progressions import (ap_decomposition, decomposition_obj,
                            effective_density, to_presburger_text)
-from .regularity import (density_inequality_check, detect_period, gaps,
+from .regularity import (_check_period_options, _check_residue_class,
+                         density_inequality_check, detect_period, gaps,
                          residue_census)
 from .rigidity import (_check_applicability, entry_obj, family_sweep,
                        report_obj, sweep_csv, verify_segment,
@@ -139,10 +140,11 @@ def _detect_for(args):
     """The prefix a period command analyses, and its period candidate."""
     params = _params(args)
     require_analysis_grade(params, args.allow_non_coprime)
+    min_coverage = _fraction(args.min_coverage, "--min-coverage")
+    _check_period_options(args.min_periods, min_coverage)
     prefix = _store(args).get(params, args.horizon)
     return prefix, detect_period(gaps(prefix), min_periods=args.min_periods,
-                                 min_coverage=_fraction(args.min_coverage,
-                                                        "--min-coverage"))
+                                 min_coverage=min_coverage)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +259,8 @@ def cmd_density_check(args) -> int:
 def cmd_census(args) -> int:
     params = _params(args)
     require_analysis_grade(params, args.allow_non_coprime)
+    _check_residue_class(args.modulus,
+                         0 if args.residue is None else args.residue)
     prefix = _store(args).get(params, args.horizon)
     residues = ([args.residue] if args.residue is not None
                 else list(range(args.modulus)))

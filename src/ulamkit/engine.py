@@ -2,12 +2,13 @@
 
 The sequence starts from seeds a < b; each later term is the least integer
 above the current maximum having exactly one representation as a sum of two
-distinct earlier terms. The sieve keeps, for every undecided integer m up
-to the horizon, the exact number of such representations among the terms
-admitted so far; when a term u is admitted, u + v is bumped for every
-earlier term v with u + v inside the horizon. An integer's count is final
-by the time the forward scan reaches it, because both halves of any pair
-summing to it are smaller than it.
+distinct earlier terms. The sieve keeps a byte indicator f of the admitted
+terms and, for every undecided m up to the horizon, its representation
+count clamped to 2 ("none", "one" or "more" decides membership). Admitting
+x adds f shifted by x to the counts in one contiguous slice. A count is
+final when the forward scan reaches it, because both halves of any pair
+summing to it are smaller. Extension runs the same kernel, seeded with the
+stored terms, which add only their sums above the old horizon.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import numpy as np
 
 from .errors import HorizonTooLarge, InsufficientHorizon, InvalidParameters
 
-# Default resource guard: a horizon needs a (horizon+1)-entry int32 table.
+# Default resource guard. A sieve to horizon H holds two (H+1)-byte tables
+# and 8 bytes per term: about 2 bytes per integer, 100 MB at this limit.
 MAX_HORIZON_DEFAULT = 50_000_000
 
 # Values are validated against this so every int64 pair sum stays exact.
 _VALUE_LIMIT = 1 << 62
-
-_SCAN_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -125,52 +125,55 @@ def _grow_to_count(prefix: UlamPrefix, k: int, max_horizon: int) -> UlamPrefix:
     return prefix
 
 
-def _run_sieve(terms: np.ndarray, n_terms: int, counts: np.ndarray,
-               scan_pos: int, horizon: int) -> tuple[np.ndarray, int]:
-    """Admit terms until no candidate <= horizon remains.
-
-    Precondition: counts[m] holds the pair count over the current terms for
-    every undecided m in [scan_pos, horizon].
-    """
-    while scan_pos <= horizon:
-        hit = -1
-        pos = scan_pos
-        while pos <= horizon:
-            end = min(pos + _SCAN_CHUNK, horizon + 1)
-            idx = np.flatnonzero(counts[pos:end] == 1)
-            if idx.size:
-                hit = pos + int(idx[0])
+def _sieve(params: UlamParams, known_terms: np.ndarray, known_horizon: int,
+           horizon: int) -> UlamPrefix:
+    """Complete a decided prefix, all terms <= known_horizon, up to horizon."""
+    # Byte tables: counts[m] and the term indicator f. bytearray.find scans
+    # for the next count of 1; the numpy views do the slice adds.
+    counts, f = bytearray(horizon + 1), bytearray(horizon + 1)
+    counts_v = np.frombuffer(counts, dtype=np.uint8)
+    f_v = np.frombuffer(f, dtype=np.uint8)
+    # A known term whose sum with its predecessor is <= known_horizon has no
+    # sum in the window; adjacent-pair sums increase, so these form a prefix.
+    j = int(np.searchsorted(known_terms[1:] + known_terms[:-1],
+                            known_horizon, side="right")) + 1
+    f_v[known_terms[:j]] = 1
+    prev = int(known_terms[j - 1])
+    floor = scan_pos = known_horizon + 1
+    adds = 0
+    while True:
+        if j < len(known_terms):
+            x = int(known_terms[j])
+            j += 1
+        else:
+            x = counts.find(1, scan_pos)
+            if x < 0:
                 break
-            pos = end
-        if hit < 0:
-            break
-        if n_terms == terms.size:
-            grown = np.empty(terms.size * 2, dtype=np.int64)
-            grown[:n_terms] = terms
-            terms = grown
-        terms[n_terms] = hit
-        # Bump every sum hit+v that still lies inside the horizon. The sums
-        # are pairwise distinct, so a plain fancy-indexed add is exact.
-        cut = int(np.searchsorted(terms[:n_terms], horizon - hit, side="right"))
-        if cut:
-            counts[hit + terms[:cut]] += 1
-        n_terms += 1
-        scan_pos = hit + 1
-    return terms, n_terms
+            scan_pos = x + 1
+        # Add the sums x + v for every earlier term v as one slice add of f
+        # shifted by x; f[x] is set after, so v != x.
+        lo, hi = max(x + params.a, floor), min(x + prev, horizon)
+        if lo <= hi:
+            counts_v[lo:hi + 1] += f_v[lo - x:hi + 1 - x]
+            adds += 1
+            # Membership needs only 0, 1 and "2 or more"; clamping to 2 at
+            # least every 253 adds keeps every count below 256.
+            if adds == 253:
+                tail = counts_v[scan_pos:]
+                np.minimum(tail, 2, out=tail)
+                adds = 0
+        f[x] = 1
+        prev = x
+    return UlamPrefix(params, np.flatnonzero(f_v).astype(np.int64, copy=False),
+                      horizon)
 
 
 def generate_to_horizon(params: UlamParams, horizon: int,
                         max_horizon: int = MAX_HORIZON_DEFAULT) -> UlamPrefix:
     """All terms <= horizon, in increasing order. Requires horizon >= b."""
-    a, b = params.a, params.b
     _check_target(params, horizon, max_horizon)
-    counts = np.zeros(horizon + 1, dtype=np.int32)
-    terms = np.empty(4096, dtype=np.int64)
-    terms[0], terms[1] = a, b
-    if a + b <= horizon:
-        counts[a + b] = 1
-    terms, n_terms = _run_sieve(terms, 2, counts, b + 1, horizon)
-    return UlamPrefix(params, terms[:n_terms].copy(), horizon)
+    return _sieve(params, np.array([params.a, params.b], dtype=np.int64),
+                  params.b, horizon)
 
 
 def extend(prefix: UlamPrefix, new_horizon: int,
@@ -178,32 +181,15 @@ def extend(prefix: UlamPrefix, new_horizon: int,
     """Continue a prefix to a strictly larger horizon.
 
     Produces the identical result to direct generation at new_horizon: the
-    pair counts for the window (horizon, new_horizon] are rebuilt from the
-    stored terms and the sieve resumes where the old run stopped.
+    stored terms supply only their sums above the old horizon, and the sieve
+    resumes where the old run stopped.
     """
     if new_horizon <= prefix.horizon:
         raise InvalidParameters(
             f"new horizon {new_horizon} must exceed {prefix.horizon}"
         )
     _check_horizon(new_horizon, max_horizon, partial=prefix)
-    old = prefix.terms
-    h1 = prefix.horizon
-    counts = np.zeros(new_horizon + 1, dtype=np.int32)
-    if len(old) >= 2:
-        # Pairs of old terms with sums in the window; adjacent-pair sums
-        # increase with the larger index, so only a suffix can contribute.
-        pair_sums = old[1:] + old[:-1]
-        first_j = int(np.searchsorted(pair_sums, h1, side="right")) + 1
-        for j in range(first_j, len(old)):
-            u = int(old[j])
-            lo = int(np.searchsorted(old[:j], h1 - u, side="right"))
-            hi = int(np.searchsorted(old[:j], new_horizon - u, side="right"))
-            if hi > lo:
-                counts[u + old[lo:hi]] += 1
-    buf = np.empty(max(4096, 2 * len(old)), dtype=np.int64)
-    buf[:len(old)] = old
-    buf, n_terms = _run_sieve(buf, len(old), counts, h1 + 1, new_horizon)
-    return UlamPrefix(prefix.params, buf[:n_terms].copy(), new_horizon)
+    return _sieve(prefix.params, prefix.terms, prefix.horizon, new_horizon)
 
 
 def generate_count(params: UlamParams, k: int,

@@ -79,6 +79,13 @@ def gaps(prefix: UlamPrefix) -> list[int]:
     return np.diff(prefix.terms).tolist()
 
 
+def _check_period_options(min_periods: int, min_coverage) -> None:
+    if min_periods < 2:
+        raise InvalidParameters("min_periods must be at least 2")
+    if not 0 < min_coverage <= 1:
+        raise InvalidParameters("min_coverage must lie in (0, 1]")
+
+
 def detect_period(gap_list, min_periods: int = 3,
                   min_coverage=Fraction(1, 2)) -> PeriodicityCandidate | None:
     """Smallest-period candidate for an eventually periodic gap list.
@@ -88,10 +95,7 @@ def detect_period(gap_list, min_periods: int = 3,
     g[k] == g[k+p]). A candidate qualifies when the periodic tail spans at
     least min_periods full periods and at least min_coverage of the list.
     """
-    if min_periods < 2:
-        raise InvalidParameters("min_periods must be at least 2")
-    if not 0 < min_coverage <= 1:
-        raise InvalidParameters("min_coverage must lie in (0, 1]")
+    _check_period_options(min_periods, min_coverage)
     g = np.asarray(gap_list, dtype=np.int64)
     K = int(g.size)
     # Z-algorithm (Gusfield 1997, sec. 1.3) over the reversed list s:
@@ -218,6 +222,13 @@ def density_inequality_check(params: UlamParams, q_num: int, q_den: int,
     return DensityCheckResult(True, None)
 
 
+def _check_residue_class(modulus: int, residue: int) -> None:
+    if modulus < 1:
+        raise InvalidParameters(f"modulus must be >= 1, got {modulus}")
+    if not 0 <= residue < modulus:
+        raise InvalidParameters(f"residue {residue} outside [0, {modulus - 1}]")
+
+
 def residue_census(prefix: UlamPrefix, modulus: int, residue: int,
                    allow_non_coprime: bool = False) -> Census:
     """Count terms in one residue class and flag an apparent class-free tail.
@@ -227,10 +238,7 @@ def residue_census(prefix: UlamPrefix, modulus: int, residue: int,
     is empty), else None. It is evidence, not a truth value.
     """
     require_analysis_grade(prefix.params, allow_non_coprime)
-    if modulus < 1:
-        raise InvalidParameters(f"modulus must be >= 1, got {modulus}")
-    if not 0 <= residue < modulus:
-        raise InvalidParameters(f"residue {residue} outside [0, {modulus - 1}]")
+    _check_residue_class(modulus, residue)
     terms = prefix.terms
     matching = terms[terms % modulus == residue]
     count = int(matching.size)

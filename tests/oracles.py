@@ -41,6 +41,64 @@ def naive_ulam(a, b, horizon):
     return [t for t in terms if t <= horizon]
 
 
+def scatter_generate(a, b, horizon):
+    """Terms up to horizon by the fancy-index scatter sieve.
+
+    This is the engine's sieve before the byte-add kernel: an int32 table
+    holds each undecided integer's exact pair count, and each admitted term
+    u bumps u + v for every earlier term v inside the horizon.
+    """
+    counts = np.zeros(horizon + 1, dtype=np.int32)
+    if a + b <= horizon:
+        counts[a + b] = 1
+    return _scatter_run([a, b], counts, b + 1, horizon)
+
+
+def scatter_extend(terms, horizon, new_horizon):
+    """Continue the terms up to horizon to new_horizon, by the scatter sieve.
+
+    The pair counts for the window (horizon, new_horizon] are rebuilt from
+    the stored terms, then the sieve resumes above horizon.
+    """
+    old = np.asarray(terms, dtype=np.int64)
+    counts = np.zeros(new_horizon + 1, dtype=np.int32)
+    # Adjacent-pair sums increase, so only a suffix has sums in the window.
+    first_j = int(np.searchsorted(old[1:] + old[:-1], horizon,
+                                  side="right")) + 1
+    for j in range(first_j, len(old)):
+        u = int(old[j])
+        lo = int(np.searchsorted(old[:j], horizon - u, side="right"))
+        hi = int(np.searchsorted(old[:j], new_horizon - u, side="right"))
+        if hi > lo:
+            counts[u + old[lo:hi]] += 1
+    return _scatter_run(old, counts, horizon + 1, new_horizon)
+
+
+def _scatter_run(known, counts, scan_pos, horizon):
+    terms = np.empty(max(4096, 2 * len(known)), dtype=np.int64)
+    n_terms = len(known)
+    terms[:n_terms] = known
+    while True:
+        hit = -1
+        for pos in range(scan_pos, horizon + 1, 256):
+            idx = np.flatnonzero(counts[pos:min(pos + 256, horizon + 1)] == 1)
+            if idx.size:
+                hit = pos + int(idx[0])
+                break
+        if hit < 0:
+            return terms[:n_terms].tolist()
+        if n_terms == terms.size:
+            terms = np.concatenate([terms, np.empty_like(terms)])
+        terms[n_terms] = hit
+        # The sums hit + v are pairwise distinct, so a fancy-indexed add
+        # is exact.
+        cut = int(np.searchsorted(terms[:n_terms], horizon - hit,
+                                  side="right"))
+        counts[hit + terms[:cut]] += 1
+        n_terms += 1
+        scan_pos = hit + 1
+
+
 def rep_table(terms, horizon):
     """Exact pair-sum counts: table[n] = #{x < y in terms : x + y = n}."""
     arr = np.asarray(terms, dtype=np.int64)

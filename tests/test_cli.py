@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import zlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,10 @@ from oracles import naive_ulam
 from ulamkit import cli
 from ulamkit.cache import cache_read
 from ulamkit.cli import main
+from ulamkit.engine import generate_to_horizon, validate_params
+from ulamkit.errors import InvalidParameters
 from ulamkit.patterns import decode
+from ulamkit.regularity import detect_period, residue_census
 
 U12 = [1, 2, 3, 4, 6, 8, 11, 13, 16, 18, 26, 28]
 
@@ -413,6 +417,40 @@ class TestCacheParity:
         without = run(capsys, *command)
         assert without[:2] == (2, "") and reason in without[2]
         assert run(capsys, *command, "--cache-dir", str(tmp_path)) == without
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, modulus, residue", [
+        (("--modulus", "0"), 0, 0),
+        (("--modulus", "-3"), -3, 0),
+        (("--modulus", "3", "--residue", "3"), 3, 3),
+    ])
+    def test_census_class_checked_before_sieve(self, capsys, tmp_path, flags,
+                                               modulus, residue):
+        prefix = generate_to_horizon(validate_params(1, 2), 500)
+        with pytest.raises(InvalidParameters) as exc:
+            residue_census(prefix, modulus, residue)
+        command = ("census", "--a", "1", "--b", "2", "--horizon", "500",
+                   *flags)
+        without = run(capsys, *command)
+        assert without == (2, "", f"error: {exc.value}\n")
+        assert run(capsys, *command, "--cache-dir", str(tmp_path)) == without
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["detect-period", "export-ap",
+                                         "export-presburger"])
+    @pytest.mark.parametrize("flags, min_periods, min_coverage", [
+        (("--min-periods", "1"), 1, Fraction(1, 2)),
+        (("--min-coverage", "0"), 3, Fraction(0)),
+    ])
+    def test_period_options_checked_before_sieve(self, capsys, tmp_path,
+                                                 command, flags, min_periods,
+                                                 min_coverage):
+        with pytest.raises(InvalidParameters) as exc:
+            detect_period([1, 2, 3], min_periods, min_coverage)
+        argv = (command, "--a", "2", "--b", "5", "--horizon", "500", *flags)
+        without = run(capsys, *argv)
+        assert without == (2, "", f"error: {exc.value}\n")
+        assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == without
         assert list(tmp_path.iterdir()) == []
 
 

@@ -1,13 +1,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ulamkit import engine
 from ulamkit.errors import HorizonTooLarge, InsufficientHorizon, InvalidParameters
 
-from oracles import naive_rep_count, naive_ulam
+from oracles import (naive_rep_count, naive_ulam, rep_table, scatter_extend,
+                     scatter_generate)
 
 U12_PREFIX = [1, 2, 3, 4, 6, 8, 11, 13, 16, 18, 26, 28]
 # frozen from the brute-force oracle
@@ -219,6 +220,49 @@ def test_extend_matches_direct(pair, h1, delta):
     p = engine.generate_to_horizon(params(a, b), h1)
     got = engine.extend(p, h1 + delta).term_list()
     assert got == engine.generate_to_horizon(params(a, b), h1 + delta).term_list()
+
+
+# Coprime and non-coprime pairs, with horizons large enough for pair counts
+# past 255.
+WIDE_PAIRS = st.tuples(st.integers(1, 12), st.integers(2, 40)).filter(lambda t: t[0] < t[1])
+
+
+@settings(deadline=None, max_examples=40)
+@example((1, 2), 20_000)
+@example((2, 4), 20_000)
+@given(WIDE_PAIRS, st.integers(2, 20_000))
+def test_generation_matches_scatter_oracle(pair, horizon):
+    a, b = pair
+    horizon = max(horizon, b)
+    got = engine.generate_to_horizon(params(a, b), horizon).term_list()
+    assert got == scatter_generate(a, b, horizon)
+
+
+@settings(deadline=None, max_examples=40)
+@given(WIDE_PAIRS, st.integers(3, 20_000), st.data())
+def test_extend_matches_scatter_oracle(pair, horizon, data):
+    a, b = pair
+    horizon = max(horizon, b + 1)
+    h0 = data.draw(st.integers(b, horizon - 1), label="h0")
+    got = engine.extend(engine.generate_to_horizon(params(a, b), h0), horizon)
+    assert got.term_list() == scatter_extend(scatter_generate(a, b, h0), h0,
+                                             horizon)
+
+
+@pytest.mark.parametrize("a, b, horizon", [(1, 2, 200_000), (2, 5, 50_000)])
+def test_long_prefix_matches_scatter_oracle(a, b, horizon):
+    got = engine.generate_to_horizon(params(a, b), horizon).term_list()
+    assert got == scatter_generate(a, b, horizon)
+
+
+def test_counts_past_a_byte_match_naive():
+    # Some pair count exceeds 255 here, so membership rests on the sieve
+    # clamping its byte counts, in generation and in extension.
+    expected = naive_ulam(2, 5, 5000)
+    assert rep_table(expected, 5000).max() > 255
+    assert engine.generate_to_horizon(params(2, 5), 5000).term_list() == expected
+    start = engine.generate_to_horizon(params(2, 5), 2500)
+    assert engine.extend(start, 5000).term_list() == expected
 
 
 @settings(deadline=None, max_examples=40)
