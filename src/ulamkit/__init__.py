@@ -1,95 +1,61 @@
 """Ulam sequence toolkit: sieve engine, pattern codes, segment verification,
 gap-regularity analysis, arithmetic-progression export, mining, and a CLI
-with a binary prefix cache."""
+with a binary prefix cache.
 
-from .cache import (PrefixStore, cache_read, cache_write, decode_prefix,
-                    encode_prefix)
-from .engine import (
-    MAX_HORIZON_DEFAULT,
-    UlamParams,
-    UlamPrefix,
-    count_upto,
-    extend,
-    generate_count,
-    generate_to_horizon,
-    is_member,
-    nth_term,
-    rep_count_exact,
-    validate_params,
-)
-from .mining import mine
-from .patterns import (
-    Applicability,
-    PatternCode,
-    PatternComponent,
-    code_id,
-    decode,
-    encode,
-    in_pattern,
-    pattern_set,
-)
-from .progressions import (
-    APDecomposition,
-    ap_decomposition,
-    ap_member,
-    ap_to_pattern_code,
-    to_presburger_text,
-)
-from .regularity import (
-    PeriodicityCandidate,
-    density_inequality_check,
-    detect_period,
-    empirical_density,
-    evens_census,
-    gaps,
-    hierarchy_report,
-    residue_census,
-)
-from .rigidity import SegmentReport, family_sweep, search_threshold, verify_segment
+Each layer below is registered in `sys.modules` as a lazy module, whose body
+runs on its first attribute access, so a command loads only the layers it
+uses. The headline names resolve through `__getattr__` and load their home
+module on first use. `ulamkit.cli` is not registered: `python -m` would warn.
+"""
 
-__all__ = [
-    "MAX_HORIZON_DEFAULT",
-    "APDecomposition",
-    "Applicability",
-    "PatternCode",
-    "PatternComponent",
-    "PeriodicityCandidate",
-    "PrefixStore",
-    "SegmentReport",
-    "UlamParams",
-    "UlamPrefix",
-    "ap_decomposition",
-    "ap_member",
-    "ap_to_pattern_code",
-    "cache_read",
-    "cache_write",
-    "code_id",
-    "count_upto",
-    "decode",
-    "decode_prefix",
-    "density_inequality_check",
-    "detect_period",
-    "empirical_density",
-    "encode",
-    "encode_prefix",
-    "evens_census",
-    "extend",
-    "family_sweep",
-    "gaps",
-    "generate_count",
-    "generate_to_horizon",
-    "hierarchy_report",
-    "in_pattern",
-    "is_member",
-    "mine",
-    "nth_term",
-    "pattern_set",
-    "rep_count_exact",
-    "residue_census",
-    "search_threshold",
-    "to_presburger_text",
-    "validate_params",
-    "verify_segment",
-]
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
+
+# Home module -> the public names it exports at package level.
+_EXPORTS = {
+    "cache": ("PrefixStore", "cache_read", "cache_write", "decode_prefix",
+              "encode_prefix"),
+    "engine": ("MAX_HORIZON_DEFAULT", "UlamParams", "UlamPrefix", "count_upto",
+               "extend", "generate_count", "generate_to_horizon", "is_member",
+               "nth_term", "rep_count_exact", "validate_params"),
+    "mining": ("mine",),
+    "patterns": ("Applicability", "PatternCode", "PatternComponent", "code_id",
+                 "decode", "encode", "in_pattern", "pattern_set"),
+    "progressions": ("APDecomposition", "ap_decomposition", "ap_member",
+                     "ap_to_pattern_code", "to_presburger_text"),
+    "regularity": ("PeriodicityCandidate", "density_inequality_check",
+                   "detect_period", "empirical_density", "evens_census", "gaps",
+                   "hierarchy_report", "residue_census"),
+    "rigidity": ("SegmentReport", "family_sweep", "search_threshold",
+                 "verify_segment"),
+}
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def _lazy(layer: str):
+    spec = importlib.util.find_spec(f"{__name__}.{layer}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _layer in ("errors", "fsutil", "engine", "cache", "patterns", "rigidity",
+               "regularity", "progressions", "mining"):
+    globals()[_layer] = _lazy(_layer)
+del _layer
+
+
+def __getattr__(name: str):
+    layer = _HOME.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[layer], name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

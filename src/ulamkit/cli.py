@@ -10,15 +10,16 @@ an interrupted run never leaves a half-written report.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 
-from . import __version__
+# The analysis layers load on first use (see __init__.py), and csv and
+# random are imported where used: a command loads only what it runs.
+from . import (__version__, mining, patterns, progressions, regularity,
+               rigidity)
 from .cache import PrefixStore, cache_path, cache_read
 from .engine import (MAX_HORIZON_DEFAULT, UlamParams, require_analysis_grade,
                      validate_params)
@@ -26,16 +27,6 @@ from .errors import (AlignmentFailure, CorruptCache, FitFailure,
                      InvalidParameters, StaleCandidate, UlamkitError,
                      VersionMismatch)
 from .fsutil import atomic_write_text
-from .mining import mine
-from .patterns import code_id, decode, encode
-from .progressions import (ap_decomposition, decomposition_obj,
-                           effective_density, to_presburger_text)
-from .regularity import (_check_period_options, _check_residue_class,
-                         density_inequality_check, detect_period, gaps,
-                         residue_census)
-from .rigidity import (_check_applicability, entry_obj, family_sweep,
-                       report_obj, sweep_csv, verify_segment,
-                       write_sweep_reports)
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -54,6 +45,8 @@ def _cell(v):
 
 
 def _rows_csv(fields, rows) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
@@ -100,7 +93,7 @@ def _load_code(source: str):
     if source.startswith("@"):
         with open(source[1:], encoding="utf-8") as fh:
             source = fh.read()
-    return decode(source)
+    return patterns.decode(source)
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -141,10 +134,11 @@ def _detect_for(args):
     params = _params(args)
     require_analysis_grade(params, args.allow_non_coprime)
     min_coverage = _fraction(args.min_coverage, "--min-coverage")
-    _check_period_options(args.min_periods, min_coverage)
+    regularity._check_period_options(args.min_periods, min_coverage)
     prefix = _store(args).get(params, args.horizon)
-    return prefix, detect_period(gaps(prefix), min_periods=args.min_periods,
-                                 min_coverage=min_coverage)
+    return prefix, regularity.detect_period(
+        regularity.gaps(prefix), min_periods=args.min_periods,
+        min_coverage=min_coverage)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +190,7 @@ def cmd_count(args) -> int:
 def cmd_gaps(args) -> int:
     params = _params(args)
     prefix = _store(args).get(params, args.horizon)
-    gap_list = gaps(prefix)
+    gap_list = regularity.gaps(prefix)
     obj = {"a": params.a, "b": params.b, "horizon": prefix.horizon,
            "gap_count": len(gap_list), "gaps": gap_list}
     _emit(args, obj, "\n".join(str(g) for g in gap_list),
@@ -242,7 +236,7 @@ def cmd_density_check(args) -> int:
     require_analysis_grade(params, args.allow_non_coprime)
     q = _fraction(args.q, "--q")
     prefix = _store(args).get(params, max(args.n_max, params.b))
-    result = density_inequality_check(
+    result = regularity.density_inequality_check(
         params, q.numerator, q.denominator, args.k, args.n_from, args.n_max,
         allow_non_coprime=args.allow_non_coprime, prefix=prefix)
     obj = {"a": params.a, "b": params.b, "q": str(q), "k": args.k,
@@ -259,15 +253,15 @@ def cmd_density_check(args) -> int:
 def cmd_census(args) -> int:
     params = _params(args)
     require_analysis_grade(params, args.allow_non_coprime)
-    _check_residue_class(args.modulus,
-                         0 if args.residue is None else args.residue)
+    regularity._check_residue_class(args.modulus,
+                                    0 if args.residue is None else args.residue)
     prefix = _store(args).get(params, args.horizon)
     residues = ([args.residue] if args.residue is not None
                 else list(range(args.modulus)))
     rows = []
     for r in residues:
-        c = residue_census(prefix, args.modulus, r,
-                           allow_non_coprime=args.allow_non_coprime)
+        c = regularity.residue_census(
+            prefix, args.modulus, r, allow_non_coprime=args.allow_non_coprime)
         rows.append({"residue": r, "count": c.count, "largest": c.largest,
                      "tail_from": c.tail_from})
     obj = {"a": params.a, "b": params.b, "horizon": prefix.horizon,
@@ -287,11 +281,12 @@ def cmd_census(args) -> int:
 def cmd_verify_pattern(args) -> int:
     params = _params(args)
     code = _load_code(args.code)
-    _check_applicability(code, params, args.override_applicability)
+    rigidity._check_applicability(code, params, args.override_applicability)
     prefix = _store(args).get(params, max(args.hi, params.b))
-    report = verify_segment(code, params, args.lo, args.hi, prefix=prefix,
-                            override_applicability=args.override_applicability)
-    obj = report_obj(report)
+    report = rigidity.verify_segment(
+        code, params, args.lo, args.hi, prefix=prefix,
+        override_applicability=args.override_applicability)
+    obj = rigidity.report_obj(report)
     if report.agrees:
         text = (f"agrees on [{report.N}, {report.M}] "
                 f"({report.matched_count} positions)")
@@ -310,17 +305,19 @@ def cmd_verify_pattern(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    regularity._check_residue_class(args.modulus, args.residue)
     code = _load_code(args.code)
     ns = [n for n in range(args.n_from, args.n_to + 1)
           if n % args.modulus == args.residue]
-    entries = family_sweep(code, args.modulus, args.residue, ns,
-                           (args.seg_c, args.seg_d), a=args.base_a,
-                           override_applicability=args.override_applicability,
-                           threads=args.threads)
-    write_sweep_reports(entries, jsonl_path=args.report_jsonl,
-                        csv_path=args.report_csv)
-    obj = {"code": code_id(code), "modulus": args.modulus,
-           "residue": args.residue, "entries": [entry_obj(e) for e in entries]}
+    entries = rigidity.family_sweep(
+        code, args.modulus, args.residue, ns, (args.seg_c, args.seg_d),
+        a=args.base_a, override_applicability=args.override_applicability,
+        threads=args.threads)
+    rigidity.write_sweep_reports(entries, jsonl_path=args.report_jsonl,
+                                 csv_path=args.report_csv)
+    obj = {"code": patterns.code_id(code), "modulus": args.modulus,
+           "residue": args.residue,
+           "entries": [rigidity.entry_obj(e) for e in entries]}
     lines = []
     bad = False
     for e in entries:
@@ -334,13 +331,15 @@ def cmd_sweep(args) -> int:
             m, direction = e.report.first_mismatch
             lines.append(f"n={e.n}: mismatch at {m} ({direction})")
     _emit(args, obj, "\n".join(lines) if lines else "no qualifying n",
-          sweep_csv(entries))
+          rigidity.sweep_csv(entries))
     if bad and args.expect_agree:
         return EXIT_REFUTED
     return EXIT_OK
 
 
 def cmd_mine(args) -> int:
+    import random
+
     if args.samples:
         ns = _int_list(args.samples, "--samples")
     else:
@@ -358,17 +357,18 @@ def cmd_mine(args) -> int:
     holdout = _int_list(args.holdout, "--holdout") if args.holdout else None
     log: list = []
     try:
-        code, reports = mine(args.modulus, args.residue, ns,
-                             (args.seg_c, args.seg_d), holdout=holdout,
-                             log=log)
+        code, reports = mining.mine(args.modulus, args.residue, ns,
+                                    (args.seg_c, args.seg_d),
+                                    holdout=holdout, log=log)
     except (AlignmentFailure, FitFailure) as exc:
         _write_mine_log(args, log)
         print(f"mining failed: {exc}", file=sys.stderr)
         return EXIT_REFUTED
     _write_mine_log(args, log)
-    obj = {"code": json.loads(encode(code)), "code_id": code_id(code),
-           "samples": ns, "holdout": [report_obj(r) for r in reports]}
-    lines = [encode(code)]
+    obj = {"code": json.loads(patterns.encode(code)),
+           "code_id": patterns.code_id(code), "samples": ns,
+           "holdout": [rigidity.report_obj(r) for r in reports]}
+    lines = [patterns.encode(code)]
     for r in reports:
         verdict = "agrees" if r.agrees else f"MISMATCH at {r.first_mismatch[0]}"
         lines.append(f"holdout n={r.b}: {verdict} on [{r.N}, {r.M}]")
@@ -397,8 +397,8 @@ def _decomposition_for(args):
               file=sys.stderr)
         return None
     try:
-        return ap_decomposition(prefix, cand,
-                                allow_non_coprime=args.allow_non_coprime)
+        return progressions.ap_decomposition(
+            prefix, cand, allow_non_coprime=args.allow_non_coprime)
     except StaleCandidate as exc:
         print(f"candidate refuted by the prefix itself: {exc}",
               file=sys.stderr)
@@ -409,8 +409,8 @@ def cmd_export_ap(args) -> int:
     decomp = _decomposition_for(args)
     if decomp is None:
         return EXIT_REFUTED
-    density = effective_density(decomp)
-    obj = dict(decomposition_obj(decomp), density=str(density))
+    density = progressions.effective_density(decomp)
+    obj = dict(progressions.decomposition_obj(decomp), density=str(density))
     lines = [f"initial set: {list(decomp.initial_set)}"]
     lines += [f"progression: {first} + {diff}·t"
               for first, diff in decomp.progressions]
@@ -427,7 +427,7 @@ def cmd_export_presburger(args) -> int:
     decomp = _decomposition_for(args)
     if decomp is None:
         return EXIT_REFUTED
-    formula = to_presburger_text(decomp)
+    formula = progressions.to_presburger_text(decomp)
     obj = {"a": decomp.params.a, "b": decomp.params.b,
            "horizon": args.horizon, "formula": formula}
     _emit(args, obj, formula)

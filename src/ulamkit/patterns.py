@@ -15,7 +15,6 @@ to one congruence class.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -177,6 +176,8 @@ def encode(code: PatternCode) -> str:
 
 def code_id(code: PatternCode) -> str:
     """Short stable identifier derived from the canonical encoding."""
+    import hashlib
+
     return hashlib.sha256(encode(code).encode("utf-8")).hexdigest()[:12]
 
 

@@ -86,6 +86,30 @@ def _check_period_options(min_periods: int, min_coverage) -> None:
         raise InvalidParameters("min_coverage must lie in (0, 1]")
 
 
+def _match_end(s: list, n: int, p: int) -> int:
+    """Least i >= n with p + i == len(s) or s[i] != s[p + i], given that
+    s[:n] == s[p:p + n]. Blocks of doubling length are compared as list
+    slices until one differs, then that block is halved to its mismatch."""
+    limit = len(s) - p
+    step = 1
+    while n < limit:
+        m = min(step, limit - n)
+        if s[n:n + m] != s[p + n:p + n + m]:
+            break
+        n += m
+        step *= 2
+    else:
+        return n
+    while m > 1:  # the first mismatch lies in s[n:n + m]
+        half = m // 2
+        if s[n:n + half] == s[p + n:p + n + half]:
+            n += half
+            m -= half
+        else:
+            m = half
+    return n
+
+
 def detect_period(gap_list, min_periods: int = 3,
                   min_coverage=Fraction(1, 2)) -> PeriodicityCandidate | None:
     """Smallest-period candidate for an eventually periodic gap list.
@@ -102,6 +126,8 @@ def detect_period(gap_list, min_periods: int = 3,
     # z[p] is the longest common prefix of s and s[p:], so the longest
     # p-periodic suffix of g has length p + z[p] (z[p] <= K - p). Each z[p]
     # needs only earlier entries, so p is tested as soon as z[p] is known.
+    # A match is walked element by element until n reaches a multiple of 8;
+    # _match_end finishes it, so a long periodic tail costs O(log) compares.
     s = g[::-1].tolist()
     z = [K] * (K // min_periods + 1)
     left = right = 0
@@ -109,6 +135,9 @@ def detect_period(gap_list, min_periods: int = 3,
         n = min(right - p, z[p - left]) if p < right else 0
         while p + n < K and s[n] == s[p + n]:
             n += 1
+            if n % 8 == 0:
+                n = _match_end(s, n, p)
+                break
         if p + n > right:
             left, right = p, p + n
         z[p] = n

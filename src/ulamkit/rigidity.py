@@ -7,10 +7,8 @@ mismatch records the least offending integer and which side claimed it.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +154,8 @@ def family_sweep(code: PatternCode, modulus: int, residue: int,
 
     todo = list(n_values)
     if threads and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one, todo))
     return [one(n) for n in todo]
@@ -189,6 +189,8 @@ def sweep_jsonl(entries) -> str:
 
 def sweep_csv(entries) -> str:
     """Summary table: n, range, agrees, first_mismatch."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "range_lo", "range_hi", "agrees", "first_mismatch", "error"])

@@ -436,6 +436,18 @@ class TestCacheParity:
         assert run(capsys, *command, "--cache-dir", str(tmp_path)) == without
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("modulus, residue", [(0, 0), (-3, 0), (3, 3)])
+    def test_sweep_class_checked_first(self, capsys, modulus, residue):
+        # a modulus of 0 once reached `n % modulus` and died with a traceback
+        prefix = generate_to_horizon(validate_params(1, 2), 50)
+        with pytest.raises(InvalidParameters) as exc:
+            residue_census(prefix, modulus, residue)
+        assert run(capsys, "sweep", "--code", BLOCK_CODE,
+                   "--modulus", str(modulus), "--residue", str(residue),
+                   "--n-from", "3", "--n-to", "5",
+                   "--seg-c", "1", "--seg-d", "0") == (
+            2, "", f"error: {exc.value}\n")
+
     @pytest.mark.parametrize("command", ["detect-period", "export-ap",
                                          "export-presburger"])
     @pytest.mark.parametrize("flags, min_periods, min_coverage", [

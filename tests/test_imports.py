@@ -1,0 +1,157 @@
+"""The package loads each layer on first use.
+
+`ulamkit` registers its layers as lazy modules, so a command runs only the
+layers it touches. These tests pin that in fresh interpreters, where no
+earlier test has loaded anything, and check that the public names resolve
+to the same objects as before.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ulamkit
+
+SRC = str(Path(ulamkit.__file__).resolve().parents[1])
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+# The package-level names and their home modules, as the package exported
+# them when every layer was imported eagerly.
+HOMES = {
+    "cache": ["PrefixStore", "cache_read", "cache_write", "decode_prefix",
+              "encode_prefix"],
+    "engine": ["MAX_HORIZON_DEFAULT", "UlamParams", "UlamPrefix", "count_upto",
+               "extend", "generate_count", "generate_to_horizon", "is_member",
+               "nth_term", "rep_count_exact", "validate_params"],
+    "mining": ["mine"],
+    "patterns": ["Applicability", "PatternCode", "PatternComponent", "code_id",
+                 "decode", "encode", "in_pattern", "pattern_set"],
+    "progressions": ["APDecomposition", "ap_decomposition", "ap_member",
+                     "ap_to_pattern_code", "to_presburger_text"],
+    "regularity": ["PeriodicityCandidate", "density_inequality_check",
+                   "detect_period", "empirical_density", "evens_census", "gaps",
+                   "hierarchy_report", "residue_census"],
+    "rigidity": ["SegmentReport", "family_sweep", "search_threshold",
+                 "verify_segment"],
+}
+ANALYSIS_LAYERS = ["mining", "patterns", "progressions", "regularity",
+                   "rigidity"]
+HEAVY_STDLIB = ["concurrent.futures", "csv", "hashlib"]
+
+# Runs `ulamkit.cli` as `python -m` does, then records, for the modules the
+# command added to sys.modules, whether each one's body has run. A lazy
+# module keeps the type `importlib.util._LazyModule` until its first
+# attribute access; `type()` reads it without triggering that access.
+PROBE = """
+import importlib.util, json, runpy, sys
+out = sys.argv.pop(1)
+before = set(sys.modules)
+try:
+    runpy.run_module("ulamkit.cli", run_name="__main__", alter_sys=True)
+finally:
+    with open(out, "w") as fh:
+        json.dump({name: type(mod) is not importlib.util._LazyModule
+                   for name, mod in list(sys.modules.items())
+                   if name not in before}, fh)
+"""
+
+
+def probe(tmp_path, *argv):
+    """Run one command in a fresh interpreter: (process, {module: loaded})."""
+    out = tmp_path / "modules.json"
+    proc = subprocess.run([sys.executable, "-c", PROBE, str(out), *argv],
+                          capture_output=True, text=True, timeout=60, env=ENV)
+    return proc, json.loads(out.read_text())
+
+
+def run_module(*argv):
+    return subprocess.run([sys.executable, "-m", "ulamkit.cli", *argv],
+                          capture_output=True, text=True, timeout=120, env=ENV)
+
+
+class TestStartup:
+    def test_member_loads_only_its_layers(self, tmp_path):
+        proc, loaded = probe(tmp_path, "member", "--a", "1", "--b", "2",
+                             "--m", "26")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "true\n", "")
+        for layer in ("engine", "cache", "errors", "fsutil"):
+            assert loaded[f"ulamkit.{layer}"] is True
+        for layer in ANALYSIS_LAYERS:
+            assert loaded[f"ulamkit.{layer}"] is False
+        assert [m for m in HEAVY_STDLIB if m in loaded] == []
+
+    def test_version_loads_no_analysis_layer(self, tmp_path):
+        proc, loaded = probe(tmp_path, "--version")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, f"ulam {ulamkit.__version__}\n", "")
+        for layer in ANALYSIS_LAYERS:
+            assert loaded[f"ulamkit.{layer}"] is False
+        assert [m for m in HEAVY_STDLIB if m in loaded] == []
+
+    def test_analysis_command_loads_its_layer(self, tmp_path):
+        # the positive control: a lazy layer does run once a command uses it
+        proc, loaded = probe(tmp_path, "detect-period", "--a", "2", "--b", "5",
+                             "--horizon", "500")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert loaded["ulamkit.regularity"] is True
+        assert loaded["ulamkit.mining"] is False
+
+    def test_module_entry_point_is_silent(self):
+        # runpy warns on stderr when `ulamkit.cli` is in sys.modules before
+        # it runs, which a lazily registered cli module would cause
+        for argv, want in ((["--version"], f"ulam {ulamkit.__version__}\n"),
+                           (["member", "--a", "1", "--b", "2", "--m", "5"],
+                            "false\n")):
+            proc = run_module(*argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+
+def test_sweep_threads_match_in_fresh_process():
+    # A lazy module is not safe to load from two threads at once, so every
+    # layer a sweep worker needs must be loaded before the pool starts.
+    argv = ["sweep", "--code", json.dumps({
+        "components": [{"A1": 0, "A2": 4, "B1": 0, "B2": 5, "p": 2, "q": -1,
+                        "L": 1, "S": [0], "unbounded": False}],
+        "applicability": None}),
+        "--modulus", "1", "--residue", "0", "--n-from", "1", "--n-to", "40",
+        "--seg-c", "5", "--seg-d", "-1", "--format", "json"]
+    one = run_module(*argv, "--threads", "1")
+    two = run_module(*argv, "--threads", "2")
+    assert one.returncode == 0 and one.stderr == ""
+    assert len(json.loads(one.stdout)["entries"]) == 40
+    assert (two.returncode, two.stdout, two.stderr) == (
+        one.returncode, one.stdout, one.stderr)
+
+
+class TestPublicNames:
+    def test_all_is_unchanged(self):
+        names = [n for names in HOMES.values() for n in names]
+        assert len(names) == 42
+        assert set(ulamkit.__all__) == set(names)
+        assert len(ulamkit.__all__) == len(names)
+
+    def test_names_are_their_home_objects(self):
+        for home, names in HOMES.items():
+            module = getattr(ulamkit, home)
+            for name in names:
+                assert getattr(ulamkit, name) is getattr(module, name), name
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from ulamkit import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(ulamkit.__all__)
+        assert namespace["detect_period"] is ulamkit.regularity.detect_period
+
+    def test_dir_lists_names_and_layers(self):
+        listed = dir(ulamkit)
+        assert set(ulamkit.__all__) <= set(listed)
+        assert {"engine", "regularity", "__version__"} <= set(listed)
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ulamkit.no_such_name

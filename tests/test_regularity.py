@@ -132,6 +132,20 @@ class TestDetectPeriodOracle:
         assert (regularity.detect_period(gap_list, min_periods, min_coverage)
                 == naive_detect_period(gap_list, min_periods, min_coverage))
 
+    @settings(deadline=None, max_examples=400)
+    @given(st.lists(st.integers(1, 2), min_size=1, max_size=6),
+           st.integers(1, 60), st.lists(st.integers(1, 2), max_size=20),
+           st.data())
+    def test_match_end(self, word, reps, noise, data):
+        # the galloping match against a walk one element at a time
+        s = word * reps + noise
+        p = data.draw(st.integers(1, len(s)))
+        end = 0
+        while p + end < len(s) and s[end] == s[p + end]:
+            end += 1
+        n = data.draw(st.integers(0, end))
+        assert regularity._match_end(s, n, p) == end
+
     @pytest.mark.parametrize("a, b, h", [(1, 2, 200_000), (2, 5, 20_000),
                                          (1, 3, 20_000)])
     def test_real_gaps(self, a, b, h):
