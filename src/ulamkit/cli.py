@@ -14,12 +14,12 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
-# The analysis layers load on first use (see __init__.py), and csv and
-# random are imported where used: a command loads only what it runs.
-from . import (__version__, mining, patterns, progressions, regularity,
-               rigidity)
+# The analysis layers load on first use (see __init__.py), and csv,
+# fractions and random are imported where used: a command loads only what
+# it runs.
+from . import (__version__, engine, mining, patterns, progressions,
+               regularity, rigidity)
 from .cache import PrefixStore, cache_path, cache_read
 from .engine import (MAX_HORIZON_DEFAULT, UlamParams, require_analysis_grade,
                      validate_params)
@@ -44,28 +44,22 @@ def _cell(v):
     return v
 
 
-def _rows_csv(fields, rows) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for row in rows:
-        writer.writerow(_cell(v) for v in row)
-    return buf.getvalue()
-
-
-def _kv_csv(obj: dict) -> str:
-    return _rows_csv(obj.keys(), [obj.values()])
-
-
-def _emit(args, obj, text: str, csv_text: str | None = None) -> None:
+def _emit(args, obj: dict, text: str, fields=None, rows=()) -> None:
+    """Write obj as JSON, the text, or the CSV table of fields and rows
+    (obj's keys and values by default), rendering only the chosen format."""
     if args.format == "json":
         rendered = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
     elif args.format == "csv":
-        if csv_text is None:
-            csv_text = _kv_csv(obj if isinstance(obj, dict) else {"value": obj})
-        rendered = csv_text
+        import csv
+
+        if fields is None:
+            fields, rows = obj.keys(), [obj.values()]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(fields)
+        for row in rows:
+            writer.writerow(_cell(v) for v in row)
+        rendered = buf.getvalue()
     else:
         rendered = text if text.endswith("\n") else text + "\n"
     if args.out:
@@ -103,19 +97,13 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise InvalidParameters(f"{flag} expects a comma-separated integer list")
 
 
-def _fraction(text: str, flag: str) -> Fraction:
+def _fraction(text: str, flag: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InvalidParameters(f"{flag} expects a rational like 1/2 or 0.5")
-
-
-def _count_for(args, params: UlamParams) -> int:
-    if args.n < 0:
-        raise InvalidParameters(f"n must be nonnegative, got {args.n}")
-    if args.n < params.a:
-        return 0
-    return _store(args).get(params, max(args.n, params.b)).count_to(args.n)
 
 
 def _candidate_obj(cand) -> dict:
@@ -157,15 +145,13 @@ def cmd_generate(args) -> int:
     obj = {"a": params.a, "b": params.b, "horizon": horizon,
            "term_count": len(terms), "terms": terms}
     _emit(args, obj, "\n".join(str(t) for t in terms),
-          _rows_csv(("index", "term"), list(enumerate(terms, start=1))))
+          ("index", "term"), enumerate(terms, start=1))
     return EXIT_OK
 
 
 def cmd_member(args) -> int:
     params = _params(args)
-    if args.m < 1:
-        raise InvalidParameters(f"m must be positive, got {args.m}")
-    member = _store(args).get(params, max(args.m, params.b)).contains(args.m)
+    member = engine.is_member(params, args.m, store=_store(args))
     obj = {"a": params.a, "b": params.b, "m": args.m, "member": member}
     _emit(args, obj, "true" if member else "false")
     return EXIT_OK
@@ -173,7 +159,7 @@ def cmd_member(args) -> int:
 
 def cmd_nth(args) -> int:
     params = _params(args)
-    term = int(_store(args).get_count(params, args.k).terms[args.k - 1])
+    term = engine.nth_term(params, args.k, store=_store(args))
     obj = {"a": params.a, "b": params.b, "k": args.k, "term": term}
     _emit(args, obj, str(term))
     return EXIT_OK
@@ -181,7 +167,7 @@ def cmd_nth(args) -> int:
 
 def cmd_count(args) -> int:
     params = _params(args)
-    count = _count_for(args, params)
+    count = engine.count_upto(params, args.n, store=_store(args))
     obj = {"a": params.a, "b": params.b, "n": args.n, "count": count}
     _emit(args, obj, str(count))
     return EXIT_OK
@@ -194,7 +180,7 @@ def cmd_gaps(args) -> int:
     obj = {"a": params.a, "b": params.b, "horizon": prefix.horizon,
            "gap_count": len(gap_list), "gaps": gap_list}
     _emit(args, obj, "\n".join(str(g) for g in gap_list),
-          _rows_csv(("k", "gap"), list(enumerate(gap_list))))
+          ("k", "gap"), enumerate(gap_list))
     return EXIT_OK
 
 
@@ -213,16 +199,18 @@ def cmd_detect_period(args) -> int:
                     periods_observed=cand.periods_observed,
                     coverage=str(cand.coverage_fraction),
                     period_gaps=" ".join(str(g) for g in cand.period_gaps))
-    _emit(args, obj, text, _kv_csv(flat))
+    _emit(args, obj, text, flat.keys(), [flat.values()])
     if cand is None and args.expect_agree:
         return EXIT_REFUTED
     return EXIT_OK
 
 
 def cmd_density(args) -> int:
+    from fractions import Fraction
+
     params = _params(args)
     require_analysis_grade(params, args.allow_non_coprime)
-    count = _count_for(args, params)
+    count = engine.count_upto(params, args.n, store=_store(args))
     ratio = Fraction(count, args.n + 1)
     obj = {"a": params.a, "b": params.b, "n": args.n, "count": count,
            "ratio": float(ratio), "ratio_fraction": str(ratio)}
@@ -235,10 +223,9 @@ def cmd_density_check(args) -> int:
     params = _params(args)
     require_analysis_grade(params, args.allow_non_coprime)
     q = _fraction(args.q, "--q")
-    prefix = _store(args).get(params, max(args.n_max, params.b))
     result = regularity.density_inequality_check(
         params, q.numerator, q.denominator, args.k, args.n_from, args.n_max,
-        allow_non_coprime=args.allow_non_coprime, prefix=prefix)
+        store=_store(args), allow_non_coprime=args.allow_non_coprime)
     obj = {"a": params.a, "b": params.b, "q": str(q), "k": args.k,
            "n_from": args.n_from, "n_max": args.n_max,
            "holds": result.holds, "first_violation": result.first_violation}
@@ -253,8 +240,8 @@ def cmd_density_check(args) -> int:
 def cmd_census(args) -> int:
     params = _params(args)
     require_analysis_grade(params, args.allow_non_coprime)
-    regularity._check_residue_class(args.modulus,
-                                    0 if args.residue is None else args.residue)
+    patterns._check_residue_class(args.modulus,
+                                  0 if args.residue is None else args.residue)
     prefix = _store(args).get(params, args.horizon)
     residues = ([args.residue] if args.residue is not None
                 else list(range(args.modulus)))
@@ -273,19 +260,18 @@ def cmd_census(args) -> int:
         lines.append(f"residue {row['residue']}: count={row['count']} "
                      f"largest={row['largest']} ({tail})")
     _emit(args, obj, "\n".join(lines),
-          _rows_csv(("residue", "count", "largest", "tail_from"),
-                    [tuple(r.values()) for r in rows]))
+          ("residue", "count", "largest", "tail_from"),
+          [tuple(r.values()) for r in rows])
     return EXIT_OK
 
 
 def cmd_verify_pattern(args) -> int:
     params = _params(args)
     code = _load_code(args.code)
-    rigidity._check_applicability(code, params, args.override_applicability)
-    prefix = _store(args).get(params, max(args.hi, params.b))
     report = rigidity.verify_segment(
-        code, params, args.lo, args.hi, prefix=prefix,
-        override_applicability=args.override_applicability)
+        code, params, args.lo, args.hi,
+        override_applicability=args.override_applicability,
+        store=_store(args))
     obj = rigidity.report_obj(report)
     if report.agrees:
         text = (f"agrees on [{report.N}, {report.M}] "
@@ -298,21 +284,21 @@ def cmd_verify_pattern(args) -> int:
     mismatch = flat.pop("first_mismatch") or {}
     flat["mismatch_m"] = mismatch.get("m")
     flat["mismatch_direction"] = mismatch.get("direction")
-    _emit(args, obj, text, _kv_csv(flat))
+    _emit(args, obj, text, flat.keys(), [flat.values()])
     if not report.agrees and args.expect_agree:
         return EXIT_REFUTED
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    regularity._check_residue_class(args.modulus, args.residue)
+    patterns._check_residue_class(args.modulus, args.residue)
     code = _load_code(args.code)
     ns = [n for n in range(args.n_from, args.n_to + 1)
           if n % args.modulus == args.residue]
     entries = rigidity.family_sweep(
         code, args.modulus, args.residue, ns, (args.seg_c, args.seg_d),
         a=args.base_a, override_applicability=args.override_applicability,
-        threads=args.threads)
+        store=_store(args))
     rigidity.write_sweep_reports(entries, jsonl_path=args.report_jsonl,
                                  csv_path=args.report_csv)
     obj = {"code": patterns.code_id(code), "modulus": args.modulus,
@@ -331,7 +317,7 @@ def cmd_sweep(args) -> int:
             m, direction = e.report.first_mismatch
             lines.append(f"n={e.n}: mismatch at {m} ({direction})")
     _emit(args, obj, "\n".join(lines) if lines else "no qualifying n",
-          rigidity.sweep_csv(entries))
+          rigidity.SWEEP_FIELDS, rigidity.sweep_rows(entries))
     if bad and args.expect_agree:
         return EXIT_REFUTED
     return EXIT_OK
@@ -346,6 +332,7 @@ def cmd_mine(args) -> int:
         if args.n_from is None or args.n_to is None or args.sample_count is None:
             raise InvalidParameters(
                 "mine needs --samples or all of --n-from/--n-to/--sample-count")
+        patterns._check_residue_class(args.modulus, args.residue)
         qualifying = [n for n in range(args.n_from, args.n_to + 1)
                       if n % args.modulus == args.residue and n >= 2]
         if args.sample_count > len(qualifying):
@@ -358,8 +345,8 @@ def cmd_mine(args) -> int:
     log: list = []
     try:
         code, reports = mining.mine(args.modulus, args.residue, ns,
-                                    (args.seg_c, args.seg_d),
-                                    holdout=holdout, log=log)
+                                    (args.seg_c, args.seg_d), holdout=holdout,
+                                    store=_store(args), log=log)
     except (AlignmentFailure, FitFailure) as exc:
         _write_mine_log(args, log)
         print(f"mining failed: {exc}", file=sys.stderr)
@@ -376,8 +363,7 @@ def cmd_mine(args) -> int:
                   " ".join(str(s) for s in sorted(c.S)))
                  for i, c in enumerate(code.components)]
     _emit(args, obj, "\n".join(lines),
-          _rows_csv(("component", "A1", "A2", "p", "B1", "B2", "q", "L", "S"),
-                    comp_rows))
+          ("component", "A1", "A2", "p", "B1", "B2", "q", "L", "S"), comp_rows)
     if args.expect_agree and any(not r.agrees for r in reports):
         return EXIT_REFUTED
     return EXIT_OK
@@ -418,8 +404,7 @@ def cmd_export_ap(args) -> int:
     rows = [("singleton", v, None) for v in decomp.initial_set]
     rows += [("progression", first, diff)
              for first, diff in decomp.progressions]
-    _emit(args, obj, "\n".join(lines),
-          _rows_csv(("kind", "first", "diff"), rows))
+    _emit(args, obj, "\n".join(lines), ("kind", "first", "diff"), rows)
     return EXIT_OK
 
 
@@ -474,8 +459,8 @@ def cmd_cache_info(args) -> int:
                          + (f" ({row['error']})" if "error" in row else ""))
     fields = ("path", "status", "a", "b", "term_count", "horizon",
               "size_bytes")
-    _emit(args, obj, "\n".join(lines),
-          _rows_csv(fields, [tuple(r.get(f) for f in fields) for r in rows]))
+    _emit(args, obj, "\n".join(lines), fields,
+          [tuple(r.get(f) for f in fields) for r in rows])
     return EXIT_OK
 
 
@@ -501,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("global options")
     g.add_argument("--threads", type=int, default=1,
-                   help="worker threads for sweeps (default 1)")
+                   help="accepted and ignored; sweeps run in one thread")
     g.add_argument("--cache-dir", default=None,
                    help="prefix cache directory (default: $ULAM_CACHE_DIR)")
     g.add_argument("--format", choices=("text", "json", "csv"),

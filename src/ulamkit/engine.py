@@ -15,10 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import HorizonTooLarge, InsufficientHorizon, InvalidParameters
+
+if TYPE_CHECKING:
+    from .cache import PrefixStore
 
 # Default resource guard. A sieve to horizon H holds two (H+1)-byte tables
 # and 8 bytes per term: about 2 bytes per integer, 100 MB at this limit.
@@ -200,31 +204,37 @@ def generate_count(params: UlamParams, k: int,
                           k, max_horizon)
 
 
+def _source(store: PrefixStore | None) -> PrefixStore:
+    """`store`, or a PrefixStore that touches no disk, at the default cap."""
+    if store is None:
+        from .cache import PrefixStore  # cache imports this module
+
+        store = PrefixStore()
+    return store
+
+
 def is_member(params: UlamParams, m: int,
-              max_horizon: int = MAX_HORIZON_DEFAULT) -> bool:
-    """Membership of m, decided by generating up to max(m, b)."""
+              store: PrefixStore | None = None) -> bool:
+    """Membership of m, decided on the prefix to max(m, b)."""
     if m < 1:
         raise InvalidParameters(f"m must be positive, got {m}")
-    prefix = generate_to_horizon(params, max(m, params.b), max_horizon)
-    return prefix.contains(m)
+    return _source(store).get(params, max(m, params.b)).contains(m)
 
 
 def nth_term(params: UlamParams, k: int,
-             max_horizon: int = MAX_HORIZON_DEFAULT) -> int:
+             store: PrefixStore | None = None) -> int:
     """The k-th smallest term (1-based)."""
-    prefix = generate_count(params, k, max_horizon)
-    return int(prefix.terms[k - 1])
+    return int(_source(store).get_count(params, k).terms[k - 1])
 
 
 def count_upto(params: UlamParams, n: int,
-               max_horizon: int = MAX_HORIZON_DEFAULT) -> int:
+               store: PrefixStore | None = None) -> int:
     """|U(a,b) intersect [0, n]|."""
     if n < 0:
         raise InvalidParameters(f"n must be nonnegative, got {n}")
     if n < params.a:
         return 0
-    prefix = generate_to_horizon(params, max(n, params.b), max_horizon)
-    return prefix.count_to(n)
+    return _source(store).get(params, max(n, params.b)).count_to(n)
 
 
 def require_analysis_grade(params: UlamParams, allow_non_coprime: bool = False) -> None:

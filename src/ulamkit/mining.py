@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import MAX_HORIZON_DEFAULT, generate_to_horizon, validate_params
+from .cache import PrefixStore
+from .engine import _source, validate_params
 from .errors import AlignmentFailure, FitFailure, InvalidParameters
-from .patterns import Applicability, PatternCode, PatternComponent
+from .patterns import (Applicability, PatternCode, PatternComponent,
+                       _check_residue_class)
 from .rigidity import SegmentReport, verify_segment
 
 
@@ -32,14 +34,6 @@ class MinedComponent:
     intercept_hi: int
     verified_on: tuple
     misaligned_on: tuple
-
-
-def _check_class(modulus: int, residue: int) -> None:
-    if not isinstance(modulus, int) or not isinstance(residue, int):
-        raise InvalidParameters("modulus and residue must be integers")
-    if modulus < 1 or not 0 <= residue < modulus:
-        raise InvalidParameters(
-            f"invalid residue class {residue} (mod {modulus})")
 
 
 def runs(values) -> tuple:
@@ -88,7 +82,7 @@ def fit_components(samples, modulus: int, residue: int) -> list[MinedComponent]:
     verify it, and samples a fitted component misses are recorded in its
     misaligned_on field rather than dropped.
     """
-    _check_class(modulus, residue)
+    _check_residue_class(modulus, residue)
     samples = sorted(samples, key=lambda s: s[0])
     if len(samples) < 3:
         raise InvalidParameters("need at least 3 samples to fit and verify")
@@ -121,7 +115,7 @@ def fit_components(samples, modulus: int, residue: int) -> list[MinedComponent]:
 
 
 def mine(modulus: int, residue: int, n_samples, segment_rule: tuple[int, int],
-         holdout=None, max_horizon: int = MAX_HORIZON_DEFAULT,
+         holdout=None, store: PrefixStore | None = None,
          log: list | None = None) -> tuple[PatternCode, list[SegmentReport]]:
     """Mine a trivially masked code for U(1, n) over one residue class.
 
@@ -131,7 +125,8 @@ def mine(modulus: int, residue: int, n_samples, segment_rule: tuple[int, int],
     two class members beyond the samples). Optional `log` collects session
     events as dicts.
     """
-    _check_class(modulus, residue)
+    _check_residue_class(modulus, residue)
+    store = _source(store)
     c_seg, d_seg = segment_rule
     ns = sorted(set(int(n) for n in n_samples))
     samples = []
@@ -141,7 +136,7 @@ def mine(modulus: int, residue: int, n_samples, segment_rule: tuple[int, int],
         if horizon < n:
             raise InvalidParameters(
                 f"segment rule {segment_rule} gives horizon {horizon} < n={n}")
-        prefix = generate_to_horizon(params, horizon, max_horizon)
+        prefix = store.get(params, horizon)
         decomp = run_decomposition(n, prefix.term_list())
         samples.append((n, decomp))
         if log is not None:
@@ -172,7 +167,7 @@ def mine(modulus: int, residue: int, n_samples, segment_rule: tuple[int, int],
     reports = []
     for n in holdout:
         report = verify_segment(code, validate_params(1, n), 1,
-                                c_seg * n + d_seg, max_horizon=max_horizon)
+                                c_seg * n + d_seg, store=store)
         reports.append(report)
         if log is not None:
             log.append({"event": "verify", "n": n, "agrees": report.agrees})

@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import PatternParseError, PatternSemanticError, UnboundedPattern
+from .errors import (InvalidParameters, PatternParseError,
+                     PatternSemanticError, UnboundedPattern)
 
 _COMPONENT_KEYS = ("A1", "A2", "B1", "B2", "p", "q", "L", "S", "unbounded")
 
@@ -52,18 +53,33 @@ class PatternComponent:
             object.__setattr__(self, "q", 0)
 
 
+def _class_fault(modulus: int, residue: int) -> str | None:
+    """Why (modulus, residue) is no residue class, or None when it is one."""
+    if modulus < 1:
+        return f"modulus must be >= 1, got {modulus}"
+    if not 0 <= residue < modulus:
+        return f"residue {residue} outside [0, {modulus - 1}]"
+    return None
+
+
+def _check_residue_class(modulus: int, residue: int) -> None:
+    """Refuse anything but integers with 0 <= residue < modulus."""
+    if not isinstance(modulus, int) or not isinstance(residue, int):
+        raise InvalidParameters("modulus and residue must be integers")
+    fault = _class_fault(modulus, residue)
+    if fault is not None:
+        raise InvalidParameters(fault)
+
+
 @dataclass(frozen=True)
 class Applicability:
     modulus: int
     residue: int
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise PatternSemanticError(f"modulus must be >= 1, got {self.modulus}")
-        if not 0 <= self.residue < self.modulus:
-            raise PatternSemanticError(
-                f"residue {self.residue} outside [0, {self.modulus - 1}]"
-            )
+        fault = _class_fault(self.modulus, self.residue)
+        if fault is not None:
+            raise PatternSemanticError(fault)
 
     def admits(self, b: int) -> bool:
         return b % self.modulus == self.residue

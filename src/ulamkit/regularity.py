@@ -15,15 +15,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import rigidity
-from .engine import (
-    MAX_HORIZON_DEFAULT,
-    UlamParams,
-    UlamPrefix,
-    generate_to_horizon,
-    require_analysis_grade,
-)
+from .cache import PrefixStore
+from .engine import (UlamParams, UlamPrefix, _source, count_upto,
+                     require_analysis_grade)
 from .errors import InvalidParameters
-from .patterns import PatternCode, b_max
+from .patterns import PatternCode, _check_residue_class, b_max
 
 VERIFIED = "verified-on-prefix"
 REFUTED = "refuted-on-prefix"
@@ -186,24 +182,18 @@ def density_from_period(candidate: PeriodicityCandidate) -> Fraction:
 
 
 def empirical_density(params: UlamParams, n: int,
-                      max_horizon: int = MAX_HORIZON_DEFAULT,
+                      store: PrefixStore | None = None,
                       allow_non_coprime: bool = False) -> DensityEstimate:
     """Counting-function ratio |U cap [0,n]| / (n+1) as an exact rational."""
     require_analysis_grade(params, allow_non_coprime)
-    if n < 0:
-        raise InvalidParameters(f"n must be nonnegative, got {n}")
-    if n < params.a:
-        return DensityEstimate(n, 0, Fraction(0))
-    prefix = generate_to_horizon(params, max(n, params.b), max_horizon)
-    count = prefix.count_to(n)
+    count = count_upto(params, n, store)
     return DensityEstimate(n, count, Fraction(count, n + 1))
 
 
 def density_inequality_check(params: UlamParams, q_num: int, q_den: int,
                              k: int, N: int, n_max: int,
-                             max_horizon: int = MAX_HORIZON_DEFAULT,
-                             allow_non_coprime: bool = False,
-                             prefix: UlamPrefix | None = None) -> DensityCheckResult:
+                             store: PrefixStore | None = None,
+                             allow_non_coprime: bool = False) -> DensityCheckResult:
     """Scan the integer density inequality over N <= n <= n_max.
 
     The inequality tested is, with C(n) the counting function and the
@@ -226,8 +216,7 @@ def density_inequality_check(params: UlamParams, q_num: int, q_den: int,
         raise InvalidParameters("N must be nonnegative")
     if N > n_max:
         return DensityCheckResult(True, None)
-    if prefix is None or prefix.horizon < n_max:
-        prefix = generate_to_horizon(params, max(n_max, params.b), max_horizon)
+    prefix = _source(store).get(params, max(n_max, params.b))
     terms = prefix.terms
     # int64 is safe only when the largest intermediate product fits
     vec_safe = (q_den * k * (n_max + 1) < 2**62 and
@@ -249,13 +238,6 @@ def density_inequality_check(params: UlamParams, q_num: int, q_den: int,
         if q_den * k * c > (q_num * k + q_den * (n + 1)) * (n + 1):
             return DensityCheckResult(False, n)
     return DensityCheckResult(True, None)
-
-
-def _check_residue_class(modulus: int, residue: int) -> None:
-    if modulus < 1:
-        raise InvalidParameters(f"modulus must be >= 1, got {modulus}")
-    if not 0 <= residue < modulus:
-        raise InvalidParameters(f"residue {residue} outside [0, {modulus - 1}]")
 
 
 def residue_census(prefix: UlamPrefix, modulus: int, residue: int,
@@ -313,15 +295,18 @@ def hierarchy_report(params: UlamParams, code: PatternCode | None,
     integer bound max_gap * C(n) >= n - a + 1 respectively.
     """
     require_analysis_grade(params, allow_non_coprime)
+    if prefix.params != params:
+        raise InvalidParameters(
+            f"prefix is of U({prefix.params.a},{prefix.params.b}), "
+            f"not U({params.a},{params.b})")
     statuses = {name: UNKNOWN for name in ("R1", "R2", "R3", "R4", "R5")}
     witnesses: dict = {}
 
     if code is not None:
         bm = b_max(code, params.a, params.b)
         M = prefix.horizon if bm is None else min(prefix.horizon, bm)
-        threshold = rigidity.search_threshold(
-            code, params, M, prefix=prefix,
-            override_applicability=override_applicability)
+        rigidity._check_applicability(code, params, override_applicability)
+        threshold = rigidity._threshold(code, prefix, M)
         if threshold is None:
             statuses["R1"] = REFUTED
         else:

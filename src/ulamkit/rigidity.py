@@ -13,16 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    MAX_HORIZON_DEFAULT,
-    UlamParams,
-    UlamPrefix,
-    generate_to_horizon,
-    validate_params,
-)
+from .cache import PrefixStore
+from .engine import UlamParams, UlamPrefix, _source, validate_params
 from .errors import ApplicabilityError, UlamkitError
 from .fsutil import atomic_write_text
-from .patterns import PatternCode, code_id, component_points
+from .patterns import (PatternCode, _check_residue_class, code_id,
+                       component_points)
 
 IN_ULAM_NOT_PATTERN = "in-ulam-not-pattern"
 IN_PATTERN_NOT_ULAM = "in-pattern-not-ulam"
@@ -70,17 +66,9 @@ def _member_points_in_range(prefix: UlamPrefix, lo: int, hi: int) -> np.ndarray:
     return prefix.terms[i0:i1]
 
 
-def _ensure_prefix(params: UlamParams, M: int, prefix: UlamPrefix | None,
-                   max_horizon: int) -> UlamPrefix:
-    if prefix is not None and prefix.params == params and prefix.horizon >= M:
-        return prefix
-    return generate_to_horizon(params, max(M, params.b), max_horizon)
-
-
 def verify_segment(code: PatternCode, params: UlamParams, N: int, M: int,
-                   prefix: UlamPrefix | None = None,
                    override_applicability: bool = False,
-                   max_horizon: int = MAX_HORIZON_DEFAULT) -> SegmentReport:
+                   store: PrefixStore | None = None) -> SegmentReport:
     """Compare membership against the pattern pointwise on [N, M].
 
     matched_count is the number of positions confirmed agreeing before the
@@ -91,7 +79,7 @@ def verify_segment(code: PatternCode, params: UlamParams, N: int, M: int,
     ident = code_id(code)
     if N > M:
         return SegmentReport(params.a, params.b, ident, N, M, True, None, 0)
-    prefix = _ensure_prefix(params, M, prefix, max_horizon)
+    prefix = _source(store).get(params, max(M, params.b))
     members = _member_points_in_range(prefix, N, M)
     pattern = _pattern_points_in_range(code, params.a, params.b, N, M)
     sym = np.setxor1d(members, pattern)
@@ -107,18 +95,22 @@ def verify_segment(code: PatternCode, params: UlamParams, N: int, M: int,
 
 
 def search_threshold(code: PatternCode, params: UlamParams, M: int,
-                     prefix: UlamPrefix | None = None,
                      override_applicability: bool = False,
-                     max_horizon: int = MAX_HORIZON_DEFAULT) -> int | None:
+                     store: PrefixStore | None = None) -> int | None:
     """Least N <= M such that [N, M] agrees, or None when even [M, M] fails.
 
     Agreement is monotone in N (shrinking the range can only remove
     mismatches), so the answer is one past the last mismatch in [0, M].
     """
     _check_applicability(code, params, override_applicability)
-    prefix = _ensure_prefix(params, M, prefix, max_horizon)
+    return _threshold(code, _source(store).get(params, max(M, params.b)), M)
+
+
+def _threshold(code: PatternCode, prefix: UlamPrefix, M: int) -> int | None:
+    """search_threshold over a prefix reaching M."""
     members = _member_points_in_range(prefix, 0, M)
-    pattern = _pattern_points_in_range(code, params.a, params.b, 0, M)
+    pattern = _pattern_points_in_range(code, prefix.params.a,
+                                       prefix.params.b, 0, M)
     sym = np.setxor1d(members, pattern)
     if sym.size == 0:
         return 0
@@ -129,14 +121,15 @@ def search_threshold(code: PatternCode, params: UlamParams, M: int,
 def family_sweep(code: PatternCode, modulus: int, residue: int,
                  n_values, segment_rule: tuple[int, int], a: int = 1,
                  override_applicability: bool = False,
-                 threads: int | None = None,
-                 max_horizon: int = MAX_HORIZON_DEFAULT) -> list[SweepEntry]:
+                 store: PrefixStore | None = None) -> list[SweepEntry]:
     """Verify the code against U(a, n) on [1, c*n + d] for each n.
 
     Entries keep the order of n_values. Per-n failures (wrong residue
     class, horizon limits, degenerate parameters) become error entries and
     the sweep continues.
     """
+    _check_residue_class(modulus, residue)
+    store = _source(store)
     c_seg, d_seg = segment_rule
 
     def one(n: int) -> SweepEntry:
@@ -147,18 +140,12 @@ def family_sweep(code: PatternCode, modulus: int, residue: int,
             params = validate_params(a, n)
             report = verify_segment(code, params, 1, M,
                                     override_applicability=override_applicability,
-                                    max_horizon=max_horizon)
+                                    store=store)
         except UlamkitError as e:
             return SweepEntry(n, None, str(e))
         return SweepEntry(n, report, None)
 
-    todo = list(n_values)
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, todo))
-    return [one(n) for n in todo]
+    return [one(n) for n in n_values]
 
 
 def report_obj(report: SegmentReport) -> dict:
@@ -187,20 +174,29 @@ def sweep_jsonl(entries) -> str:
                    for e in entries)
 
 
+SWEEP_FIELDS = ("n", "range_lo", "range_hi", "agrees", "first_mismatch",
+                "error")
+
+
+def sweep_rows(entries):
+    """One SWEEP_FIELDS row per entry, "" for an absent cell."""
+    for e in entries:
+        if e.report is None:
+            yield (e.n, "", "", "", "", e.error)
+        else:
+            r = e.report
+            mm = "" if r.first_mismatch is None else r.first_mismatch[0]
+            yield (e.n, r.N, r.M, str(r.agrees).lower(), mm, "")
+
+
 def sweep_csv(entries) -> str:
     """Summary table: n, range, agrees, first_mismatch."""
     import csv
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "range_lo", "range_hi", "agrees", "first_mismatch", "error"])
-    for e in entries:
-        if e.report is None:
-            writer.writerow([e.n, "", "", "", "", e.error])
-        else:
-            r = e.report
-            mm = "" if r.first_mismatch is None else r.first_mismatch[0]
-            writer.writerow([e.n, r.N, r.M, str(r.agrees).lower(), mm, ""])
+    writer.writerow(SWEEP_FIELDS)
+    writer.writerows(sweep_rows(entries))
     return buf.getvalue()
 
 

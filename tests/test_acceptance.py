@@ -180,11 +180,9 @@ def test_criterion_7_ap_presburger_coherence():
 
 def test_criterion_8a_density_inequality_matrix():
     params = validate_params(1, 2)
-    prefix = generate_to_horizon(params, 10_000)
     failing = []
     for k in range(1, 11):
-        result = density_inequality_check(params, 1, 2, k, 1, 10_000,
-                                          prefix=prefix)
+        result = density_inequality_check(params, 1, 2, k, 1, 10_000)
         if not result.holds:
             failing.append((k, result.first_violation))
     verdict("8a", not failing,

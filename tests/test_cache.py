@@ -1,5 +1,8 @@
+import ast
 import struct
 import zlib
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +13,16 @@ import ulamkit.cache
 from oracles import naive_decode_prefix, naive_encode_prefix, naive_ulam
 from ulamkit.cache import (MAGIC, PrefixStore, cache_path, cache_read,
                            cache_write, decode_prefix, encode_prefix)
-from ulamkit.engine import (UlamPrefix, generate_count, generate_to_horizon,
+from ulamkit.engine import (UlamPrefix, count_upto, generate_count,
+                            generate_to_horizon, is_member, nth_term,
                             validate_params)
 from ulamkit.errors import (CorruptCache, HorizonTooLarge, InvalidParameters,
                             VersionMismatch)
+from ulamkit.mining import mine
+from ulamkit.patterns import PatternCode, PatternComponent
+from ulamkit.regularity import (DensityCheckResult, density_inequality_check,
+                                empirical_density)
+from ulamkit.rigidity import family_sweep, search_threshold, verify_segment
 
 U12 = [1, 2, 3, 4, 6, 8, 11, 13, 16, 18, 26, 28]
 
@@ -432,3 +441,131 @@ class TestPrefixStore:
             store.get_count(params, 500)
         assert str(again.value) == str(direct.value)
         assert writes == [1000]
+
+
+SIEVE_NAMES = {"generate_to_horizon", "extend", "generate_count"}
+
+
+def sieve_uses(path):
+    """Lines where a module imports or calls a sieve entry point. A bare
+    `.extend(...)` is a list method; `engine.extend` is the sieve."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name in SIEVE_NAMES for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in SIEVE_NAMES:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in SIEVE_NAMES:
+            if node.attr != "extend" or (isinstance(node.value, ast.Name)
+                                         and node.value.id == "engine"):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestOnePrefixSource:
+    def test_only_engine_and_cache_reach_the_sieve(self):
+        src = Path(ulamkit.cache.__file__).parent
+        found = {p.name: sieve_uses(p) for p in sorted(src.glob("*.py"))}
+        assert found["engine.py"] and found["cache.py"]
+        assert {name: lines for name, lines in found.items()
+                if lines and name not in ("engine.py", "cache.py")} == {}
+
+    def test_scan_sees_each_spelling(self, tmp_path):
+        probe = tmp_path / "probe.py"
+        probe.write_text("from .engine import extend\n"
+                         "engine.extend(p, 9)\n"
+                         "x = generate_to_horizon\n"
+                         "terms.extend([1])\n")
+        assert sieve_uses(probe) == [1, 2, 3]
+
+
+# (name, call with a store, the oracle's answer from U(a, b) up to 400)
+def _count(terms, n):
+    return sum(t <= n for t in terms)
+
+
+STORE_CALLS = [
+    ("is_member", lambda p, s: is_member(p, 26, store=s),
+     lambda t: 26 in t),
+    ("count_upto", lambda p, s: count_upto(p, 300, store=s),
+     lambda t: _count(t, 300)),
+    ("nth_term", lambda p, s: nth_term(p, 40, store=s), lambda t: t[39]),
+    ("empirical_density",
+     lambda p, s: empirical_density(p, 300, store=s).ratio,
+     lambda t: Fraction(_count(t, 300), 301)),
+    ("density_inequality_check",
+     lambda p, s: density_inequality_check(p, 0, 1, 9, 1, 300, store=s),
+     lambda t: DensityCheckResult(*next(
+         ((False, n) for n in range(1, 301)
+          if 9 * _count(t, n) > (n + 1) ** 2), (True, None)))),
+    ("verify_segment",
+     lambda p, s: verify_segment(WIDE, p, 1, 300, store=s).first_mismatch,
+     lambda t: first_mismatch(t, 300)),
+    ("search_threshold",
+     lambda p, s: search_threshold(WIDE, p, 300, store=s),
+     lambda t: threshold(t, 300)),
+]
+
+WIDE = PatternCode((PatternComponent(p=40, q=200),))
+WIDE_POINTS = set(range(40, 201))
+
+
+def threshold(terms, M):
+    last = max((m for m in range(M + 1)
+                if (m in terms) != (m in WIDE_POINTS)), default=None)
+    return 0 if last is None else last + 1 if last < M else None
+
+
+def first_mismatch(terms, M):
+    for m in range(1, M + 1):
+        if (m in terms) != (m in WIDE_POINTS):
+            return (m, "in-ulam-not-pattern" if m in terms
+                    else "in-pattern-not-ulam")
+    return None
+
+
+class TestStoreParameter:
+    """Each library query takes its prefix from `store`, and answers as
+    with store=None and as the brute-force oracle does."""
+
+    @pytest.mark.parametrize("a,b", STORE_PAIRS)
+    @pytest.mark.parametrize("name, call, oracle", STORE_CALLS,
+                             ids=[c[0] for c in STORE_CALLS])
+    def test_store_none_and_oracle_agree(self, tmp_path, writes, a, b, name,
+                                         call, oracle):
+        params = validate_params(a, b)
+        terms = naive_ulam(a, b, 400)
+        want = oracle(terms)
+        assert call(params, None) == want
+        assert writes == []
+        store = PrefixStore(tmp_path)
+        assert call(params, store) == want
+        assert len(writes) == 1 and cache_path(tmp_path, params).exists()
+        assert call(params, store) == want    # served from the file
+        assert len(writes) == 1
+
+    @pytest.mark.parametrize("name, call, oracle", STORE_CALLS,
+                             ids=[c[0] for c in STORE_CALLS])
+    def test_store_carries_the_cap(self, name, call, oracle):
+        with pytest.raises(HorizonTooLarge):
+            call(validate_params(1, 2), PrefixStore(max_horizon=25))
+
+    def test_family_sweep_and_mine(self, tmp_path, writes):
+        code = PatternCode((PatternComponent(A2=4, B2=5, p=2, q=-1),))
+        ns = [4, 5, 6, 7]
+        bare = family_sweep(code, 1, 0, ns, (5, -1))
+        assert family_sweep(code, 1, 0, ns, (5, -1),
+                            store=PrefixStore(tmp_path)) == bare
+        for e in bare:
+            members = naive_ulam(1, e.n, 5 * e.n - 1)
+            assert e.report.first_mismatch[0] == members[0]
+        assert sorted(writes) == [19, 24, 29, 34]
+        mined = mine(1, 0, [4, 5, 6], (5, -1))
+        assert mine(1, 0, [4, 5, 6], (5, -1),
+                    store=PrefixStore(tmp_path)) == mined
+        assert sorted(writes) == [19, 24, 29, 34, 39]
+        capped = family_sweep(code, 1, 0, [4], (5, -1),
+                              store=PrefixStore(max_horizon=10))
+        assert capped[0].error == "horizon 19 exceeds resource limit 10"

@@ -182,7 +182,7 @@ class TestPatternCommands:
                            "--modulus", "1", "--residue", "0",
                            "--n-from", "4", "--n-to", "12",
                            "--seg-c", "5", "--seg-d", "-1",
-                           "--expect-agree", "--threads", "3",
+                           "--expect-agree",
                            "--report-jsonl", str(jsonl),
                            "--report-csv", str(csv_path))
         assert code == 0
@@ -246,6 +246,17 @@ class TestMineCommand:
                            "--sample-count", "9", "--seg-c", "5",
                            "--seg-d", "-1")
         assert code == 2 and "exceeds" in err
+
+
+    @pytest.mark.parametrize("flags", [
+        ("--samples", "4,5,6"),
+        ("--n-from", "4", "--n-to", "9", "--sample-count", "3"),
+    ])
+    def test_bad_class_refused(self, capsys, flags):
+        # the sampled form once reached `n % modulus` and died with a traceback
+        assert run(capsys, "mine", "--modulus", "0", "--residue", "0", *flags,
+                   "--seg-c", "5", "--seg-d", "-1") == (
+            2, "", "error: modulus must be >= 1, got 0\n")
 
 
 class TestExportCommands:
@@ -419,6 +430,22 @@ class TestCacheParity:
         assert run(capsys, *command, "--cache-dir", str(tmp_path)) == without
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, want", [
+        (("--k", "0"), (2, "", "error: k must be positive\n")),
+        (("--k", "3", "--n-from", "-1"),
+         (2, "", "error: N must be nonnegative\n")),
+        (("--k", "3", "--n-from", "5000"),
+         (0, "holds for all n in [5000, 1000]\n", "")),
+    ])
+    def test_density_check_refusal_writes_no_cache(self, capsys, tmp_path,
+                                                   flags, want):
+        # the scan is refused or empty before any prefix is built
+        command = ("density-check", "--a", "1", "--b", "2", "--q", "1/2",
+                   "--n-max", "1000", *flags)
+        assert run(capsys, *command) == want
+        assert run(capsys, *command, "--cache-dir", str(tmp_path)) == want
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flags, modulus, residue", [
         (("--modulus", "0"), 0, 0),
         (("--modulus", "-3"), -3, 0),
@@ -464,6 +491,40 @@ class TestCacheParity:
         assert without == (2, "", f"error: {exc.value}\n")
         assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == without
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """Paths of the cache files written, in order."""
+    log = []
+    real = ulamkit.cache.cache_write
+
+    def recording(prefix, path):
+        log.append(Path(path).name)
+        real(prefix, path)
+    monkeypatch.setattr(ulamkit.cache, "cache_write", recording)
+    return log
+
+
+class TestFamilyCommandsUseCache:
+    @pytest.mark.parametrize("command, files", [
+        (("sweep", "--code", BLOCK_CODE, "--modulus", "1", "--residue", "0",
+          "--n-from", "4", "--n-to", "9", "--seg-c", "5", "--seg-d", "-1"),
+         range(4, 10)),
+        (("mine", "--modulus", "1", "--residue", "0", "--samples", "4,5,6",
+          "--seg-c", "5", "--seg-d", "-1"), range(4, 9)),
+    ])
+    def test_writes_then_reuses(self, capsys, tmp_path, writes, command,
+                                files):
+        want = [f"u1_{n}.ulam" for n in files]
+        without = run(capsys, *command)
+        assert without[0] == 0 and writes == []
+        first = run(capsys, *command, "--cache-dir", str(tmp_path))
+        assert sorted(writes) == sorted(want)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want)
+        second = run(capsys, *command, "--cache-dir", str(tmp_path))
+        assert len(writes) == len(want)
+        assert first == second == without
 
 
 class TestOutputFile:

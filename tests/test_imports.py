@@ -41,7 +41,7 @@ HOMES = {
 }
 ANALYSIS_LAYERS = ["mining", "patterns", "progressions", "regularity",
                    "rigidity"]
-HEAVY_STDLIB = ["concurrent.futures", "csv", "hashlib"]
+HEAVY_STDLIB = ["concurrent.futures", "csv", "fractions", "hashlib"]
 
 # Runs `ulamkit.cli` as `python -m` does, then records, for the modules the
 # command added to sys.modules, whether each one's body has run. A lazy
@@ -111,17 +111,25 @@ class TestStartup:
             assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
 
+SWEEP_ARGV = ["sweep", "--code", json.dumps({
+    "components": [{"A1": 0, "A2": 4, "B1": 0, "B2": 5, "p": 2, "q": -1,
+                    "L": 1, "S": [0], "unbounded": False}],
+    "applicability": None}),
+    "--modulus", "1", "--residue", "0", "--n-from", "1", "--n-to", "40",
+    "--seg-c", "5", "--seg-d", "-1", "--format", "json"]
+
+
+def test_sweep_starts_no_thread_pool(tmp_path):
+    proc, loaded = probe(tmp_path, *SWEEP_ARGV, "--threads", "2")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert loaded["ulamkit.rigidity"] is True
+    assert "concurrent.futures" not in loaded
+
+
 def test_sweep_threads_match_in_fresh_process():
-    # A lazy module is not safe to load from two threads at once, so every
-    # layer a sweep worker needs must be loaded before the pool starts.
-    argv = ["sweep", "--code", json.dumps({
-        "components": [{"A1": 0, "A2": 4, "B1": 0, "B2": 5, "p": 2, "q": -1,
-                        "L": 1, "S": [0], "unbounded": False}],
-        "applicability": None}),
-        "--modulus", "1", "--residue", "0", "--n-from", "1", "--n-to", "40",
-        "--seg-c", "5", "--seg-d", "-1", "--format", "json"]
-    one = run_module(*argv, "--threads", "1")
-    two = run_module(*argv, "--threads", "2")
+    # --threads is accepted for compatibility and changes nothing
+    one = run_module(*SWEEP_ARGV, "--threads", "1")
+    two = run_module(*SWEEP_ARGV, "--threads", "2")
     assert one.returncode == 0 and one.stderr == ""
     assert len(json.loads(one.stdout)["entries"]) == 40
     assert (two.returncode, two.stdout, two.stderr) == (

@@ -293,6 +293,12 @@ class TestHierarchy:
         assert rep.witnesses["r3_gap_bound"] >= max(regularity.gaps(p))
         assert rep.witnesses["r5_lower_bound"] == Fraction(1, rep.witnesses["r3_gap_bound"])
 
+    def test_prefix_of_another_pair_refused(self):
+        # the R5 bound once mixed a=1 with U(2,5) and raised AssertionError
+        with pytest.raises(InvalidParameters, match=r"prefix is of U\(2,5\)"):
+            regularity.hierarchy_report(params(1, 2), None, None,
+                                        prefix(2, 5, 3000))
+
     def test_growing_gaps_not_certified(self):
         # very short prefix of a pair whose record gap lands late
         p = prefix(1, 2, 28)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ulamkit import engine, rigidity
-from ulamkit.errors import ApplicabilityError
+from ulamkit.errors import ApplicabilityError, InvalidParameters
 from ulamkit.patterns import Applicability, PatternCode, PatternComponent, code_id
 
 from oracles import naive_ulam
@@ -39,8 +39,7 @@ class TestVerifySegment:
 
     def test_mismatch_direction_member_side(self):
         # empty code disagrees exactly at the members
-        prefix = engine.generate_to_horizon(params(1, 2), 30)
-        r = rigidity.verify_segment(PatternCode(), params(1, 2), 5, 30, prefix=prefix)
+        r = rigidity.verify_segment(PatternCode(), params(1, 2), 5, 30)
         assert not r.agrees
         assert r.first_mismatch == (6, rigidity.IN_ULAM_NOT_PATTERN)
 
@@ -63,15 +62,13 @@ class TestVerifySegment:
         assert r.agrees
 
     def test_monotone_in_lower_endpoint(self):
-        prefix = engine.generate_to_horizon(params(1, 10), 49)
-        N0 = rigidity.search_threshold(BLOCK_CODE, params(1, 10), 49, prefix=prefix)
+        N0 = rigidity.search_threshold(BLOCK_CODE, params(1, 10), 49)
         assert N0 is not None
         for N in (N0, N0 + 3, 45):
-            assert rigidity.verify_segment(BLOCK_CODE, params(1, 10), N, 49,
-                                           prefix=prefix).agrees
+            assert rigidity.verify_segment(BLOCK_CODE, params(1, 10), N, 49).agrees
         if N0 > 0:
             assert not rigidity.verify_segment(BLOCK_CODE, params(1, 10), N0 - 1,
-                                               49, prefix=prefix).agrees
+                                               49).agrees
 
 
 class TestSearchThreshold:
@@ -83,7 +80,7 @@ class TestSearchThreshold:
 
     def test_threshold_past_last_mismatch(self):
         prefix = engine.generate_to_horizon(params(1, 10), 49)
-        N0 = rigidity.search_threshold(BLOCK_CODE, params(1, 10), 49, prefix=prefix)
+        N0 = rigidity.search_threshold(BLOCK_CODE, params(1, 10), 49)
         # members below the block mismatch; the block itself agrees
         last_low_member = max(t for t in prefix.term_list() if t < 42)
         assert N0 == last_low_member + 1
@@ -92,7 +89,7 @@ class TestSearchThreshold:
         # pattern claims one point past the horizon-checked member region
         code = PatternCode((PatternComponent(p=50, q=50),))
         prefix = engine.generate_to_horizon(params(1, 2), 50)
-        got = rigidity.search_threshold(code, params(1, 2), 50, prefix=prefix)
+        got = rigidity.search_threshold(code, params(1, 2), 50)
         assert (50 in prefix.term_list()) is False
         assert got is None
 
@@ -121,16 +118,15 @@ class TestFamilySweep:
         assert entries[1].report is None and "mod" in entries[1].error
         assert entries[2].error is None
 
+    @pytest.mark.parametrize("modulus, residue", [(0, 0), (-3, 0), (3, 3)])
+    def test_bad_class_refused(self, modulus, residue):
+        with pytest.raises(InvalidParameters):
+            rigidity.family_sweep(PatternCode(), modulus, residue, [4], (5, -1))
+
     def test_degenerate_n_reported_not_raised(self):
         entries = rigidity.family_sweep(BLOCK_CODE, 1, 0, [1, 4], (5, -1))
         assert entries[0].report is None and entries[0].error
         assert entries[1].error is None
-
-    def test_threads_match_sequential(self):
-        seq = rigidity.family_sweep(BLOCK_CODE, 1, 0, range(4, 10), (5, -1))
-        par = rigidity.family_sweep(BLOCK_CODE, 1, 0, range(4, 10), (5, -1),
-                                    threads=4)
-        assert seq == par
 
 
 class TestEmission:
