@@ -11,12 +11,14 @@ the file corrupt.
 
 from __future__ import annotations
 
+import re
 import struct
 import sys
 import zlib
+from bisect import bisect_right
+from itertools import accumulate
+from operator import sub
 from pathlib import Path
-
-import numpy as np
 
 from .engine import (_VALUE_LIMIT, MAX_HORIZON_DEFAULT, UlamParams, UlamPrefix,
                      _check_count, _check_target, _grow_to_count, extend,
@@ -28,83 +30,85 @@ from .fsutil import atomic_write_bytes
 MAGIC = b"ULAM1"
 _HEADER = struct.Struct("<4Q")
 _CRC = struct.Struct("<I")
+# A run of continuation bytes: with the byte after it, one varint of two or
+# more bytes. Every byte outside such runs is a whole one-byte varint.
+_CONTINUED = re.compile(rb"[\x80-\xff]+")
 
 
-def _encode_varints(values: np.ndarray) -> bytes:
-    """Concatenated LEB128 encodings of nonnegative uint64 values."""
-    levels = []  # per 7-bit group: indices of the values still going, bytes
-    lengths = np.zeros(values.size, dtype=np.int64)
-    idx = np.arange(values.size)
-    rest = values
-    while idx.size:
-        more = rest >= 0x80
-        group = (rest & 0x7F).astype(np.uint8)
-        group[more] |= 0x80
-        levels.append((idx, group))
-        lengths[idx] += 1
-        idx, rest = idx[more], rest[more] >> 7
-    starts = np.cumsum(lengths) - lengths
-    out = np.empty(int(lengths.sum()), dtype=np.uint8)
-    for j, (idx, group) in enumerate(levels):
-        out[starts[idx] + j] = group
-    return out.tobytes()
+def _encode_varints(values: list[int]) -> bytes:
+    """Concatenated LEB128 encodings of nonnegative values below 2**64."""
+    out = bytearray()
+    pos = 0
+    for i in [i for i, v in enumerate(values) if v > 0x7F]:
+        out += bytes(values[pos:i])
+        v = values[i]
+        while v > 0x7F:
+            out.append(v & 0x7F | 0x80)
+            v >>= 7
+        out.append(v)
+        pos = i + 1
+    out += bytes(values[pos:])
+    return bytes(out)
 
 
-def _decode_terms(payload: np.ndarray, term_count: int) -> np.ndarray:
+def _decode_terms(payload: bytes, term_count: int) -> list[int]:
     """Terms from the first varint and the gaps after it.
 
     Reports the first fault a byte-at-a-time reader would meet: an overlong
     varint, a gap below 1 or a term beyond the engine's value limit, in
     that order at each position, then a payload that ends too soon or has
-    bytes left over.
+    bytes left over. Runs of one-byte varints are summed by accumulate;
+    only the longer varints take a Python step each.
     """
-    ends = np.flatnonzero(payload < 0x80)[:term_count]
-    lengths = np.diff(ends, prepend=-1)
-    starts = ends - lengths + 1
-    values = (payload[starts] & 0x7F).astype(np.uint64)
-    high = np.zeros(ends.size, dtype=bool)  # bits at or above 2**63 set
-    idx = np.flatnonzero(lengths > 1)
-    for j in range(1, 10):
-        group = payload[starts[idx] + j] & 0x7F
-        if j < 9:
-            values[idx] |= group.astype(np.uint64) << (7 * j)
-        else:
-            high[idx] = group != 0
-        idx = idx[lengths[idx] > j + 1]
-    overlong = lengths > 10
-    zero = (values == 0) & ~high
-    zero[:1] = False  # the first varint is a term, not a gap
-    too_big = high | (values > _VALUE_LIMIT)
-    # Every summand is at most 2**62, so the sums are exact in uint64 up
-    # to and including the first one past the limit.
-    sums = np.cumsum(np.where(overlong | too_big, 0, values))
-    too_big |= sums > _VALUE_LIMIT
-    bad = np.flatnonzero(overlong | zero | too_big)
-    if bad.size:
-        i = int(bad[0])
-        if overlong[i]:
+    terms: list[int] = []
+    total = pos = 0
+    end = len(payload)
+    runs = _CONTINUED.finditer(payload)
+    while True:
+        run = next(runs, None)
+        start = end if run is None else run.start()
+        i = len(terms)
+        chunk = payload[pos:min(start, pos + term_count - i)]
+        zero = chunk.find(0, 0 if i else 1)  # the first varint is a term
+        if zero >= 0:
+            chunk = chunk[:zero]
+        sums = accumulate(chunk, initial=total)
+        next(sums)  # total itself
+        terms += sums
+        total = terms[-1] if terms else 0
+        if total > _VALUE_LIMIT:
+            raise CorruptCache(f"term {bisect_right(terms, _VALUE_LIMIT, i)} "
+                               "exceeds the value limit 2**62")
+        if zero >= 0:
+            raise CorruptCache(f"non-increasing gap at term {len(terms)}")
+        pos += len(chunk)
+        if len(terms) == term_count:
+            break
+        stop = end if run is None else run.end()
+        if stop - start >= 10 and start + 10 < end:
             raise CorruptCache("varint exceeds 64 bits")
-        if zero[i]:
-            raise CorruptCache(f"non-increasing gap at term {i}")
-        raise CorruptCache(f"term {i} exceeds the value limit 2**62")
-    used = int(ends[-1]) + 1 if ends.size else 0
-    if ends.size < term_count:
-        # the bytes after the last terminator all continue one varint
-        raise CorruptCache("varint exceeds 64 bits" if payload.size - used > 10
-                           else "varint runs past payload end")
-    if used != payload.size:
-        raise CorruptCache(f"{payload.size - used} unread payload bytes")
-    return sums.astype(np.int64)
+        if stop == end:
+            raise CorruptCache("varint runs past payload end")
+        value = 0
+        for shift, byte in zip(range(0, 70, 7), payload[start:stop + 1]):
+            value |= (byte & 0x7F) << shift
+        if terms and value == 0:
+            raise CorruptCache(f"non-increasing gap at term {len(terms)}")
+        total += value
+        if total > _VALUE_LIMIT:
+            raise CorruptCache(f"term {len(terms)} exceeds the value limit 2**62")
+        terms.append(total)
+        pos = stop + 1
+    if pos != end:
+        raise CorruptCache(f"{end - pos} unread payload bytes")
+    return terms
 
 
 def encode_prefix(prefix: UlamPrefix) -> bytes:
-    terms = prefix.terms
-    values = np.empty(len(terms), dtype=np.uint64)
-    values[0] = terms[0]
-    values[1:] = np.diff(terms)
+    terms = prefix.term_list()
     body = (MAGIC + _HEADER.pack(prefix.params.a, prefix.params.b,
                                  len(terms), prefix.horizon)
-            + _encode_varints(values))
+            + _encode_varints([terms[0], *map(sub, terms[1:], terms)]))
     return body + _CRC.pack(zlib.crc32(body))
 
 
@@ -129,17 +133,14 @@ def decode_prefix(data: bytes) -> UlamPrefix:
     if term_count < 2:
         raise CorruptCache(f"term count {term_count} below the two seeds")
     start = len(MAGIC) + _HEADER.size
-    payload = np.frombuffer(data, dtype=np.uint8, offset=start,
-                            count=len(data) - _CRC.size - start)
-    terms = _decode_terms(payload, term_count)
-    if int(terms[0]) != a or int(terms[1]) != b:
+    terms = _decode_terms(data[start:-_CRC.size], term_count)
+    if terms[0] != a or terms[1] != b:
         raise CorruptCache("payload does not start with a, b")
-    if horizon < int(terms[-1]):
-        raise CorruptCache(
-            f"horizon {horizon} below last term {int(terms[-1])}")
+    if horizon < terms[-1]:
+        raise CorruptCache(f"horizon {horizon} below last term {terms[-1]}")
     if horizon > _VALUE_LIMIT:
         raise CorruptCache(f"horizon {horizon} exceeds the value limit 2**62")
-    return UlamPrefix(params, terms, int(horizon))
+    return UlamPrefix(params, terms, horizon)
 
 
 def cache_write(prefix: UlamPrefix, path) -> None:

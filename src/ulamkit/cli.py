@@ -21,8 +21,7 @@ import sys
 from . import (__version__, engine, mining, patterns, progressions,
                regularity, rigidity)
 from .cache import PrefixStore, cache_path, cache_read
-from .engine import (MAX_HORIZON_DEFAULT, UlamParams, require_analysis_grade,
-                     validate_params)
+from .engine import MAX_HORIZON_DEFAULT, UlamParams, validate_params
 from .errors import (AlignmentFailure, CorruptCache, FitFailure,
                      InvalidParameters, StaleCandidate, UlamkitError,
                      VersionMismatch)
@@ -83,6 +82,16 @@ def _params(args) -> UlamParams:
     return validate_params(args.a, args.b)
 
 
+def _analysis_params(args) -> UlamParams:
+    """The pair of an analysis command; a non-coprime pair needs the flag."""
+    params = _params(args)
+    if not params.coprime and not args.allow_non_coprime:
+        raise InvalidParameters(
+            f"({params.a},{params.b}) is not coprime; "
+            "pass --allow-non-coprime to analyse it anyway")
+    return params
+
+
 def _load_code(source: str):
     if source.startswith("@"):
         with open(source[1:], encoding="utf-8") as fh:
@@ -119,8 +128,7 @@ def _candidate_obj(cand) -> dict:
 
 def _detect_for(args):
     """The prefix a period command analyses, and its period candidate."""
-    params = _params(args)
-    require_analysis_grade(params, args.allow_non_coprime)
+    params = _analysis_params(args)
     min_coverage = _fraction(args.min_coverage, "--min-coverage")
     regularity._check_period_options(args.min_periods, min_coverage)
     prefix = _store(args).get(params, args.horizon)
@@ -208,8 +216,7 @@ def cmd_detect_period(args) -> int:
 def cmd_density(args) -> int:
     from fractions import Fraction
 
-    params = _params(args)
-    require_analysis_grade(params, args.allow_non_coprime)
+    params = _analysis_params(args)
     count = engine.count_upto(params, args.n, store=_store(args))
     ratio = Fraction(count, args.n + 1)
     obj = {"a": params.a, "b": params.b, "n": args.n, "count": count,
@@ -220,8 +227,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_density_check(args) -> int:
-    params = _params(args)
-    require_analysis_grade(params, args.allow_non_coprime)
+    params = _analysis_params(args)
     q = _fraction(args.q, "--q")
     result = regularity.density_inequality_check(
         params, q.numerator, q.denominator, args.k, args.n_from, args.n_max,
@@ -238,8 +244,7 @@ def cmd_density_check(args) -> int:
 
 
 def cmd_census(args) -> int:
-    params = _params(args)
-    require_analysis_grade(params, args.allow_non_coprime)
+    params = _analysis_params(args)
     patterns._check_residue_class(args.modulus,
                                   0 if args.residue is None else args.residue)
     prefix = _store(args).get(params, args.horizon)
@@ -445,7 +450,7 @@ def cmd_cache_info(args) -> int:
             else:
                 row.update(status="ok", a=prefix.params.a, b=prefix.params.b,
                            term_count=len(prefix), horizon=prefix.horizon,
-                           last_term=int(prefix.terms[-1]))
+                           last_term=prefix.ints[-1])
         rows.append(row)
     obj = {"cache_dir": str(directory), "files": rows}
     lines = [f"cache dir: {directory}"]

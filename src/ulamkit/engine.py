@@ -14,10 +14,10 @@ stored terms, which add only their sums above the old horizon.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import HorizonTooLarge, InsufficientHorizon, InvalidParameters
 
@@ -54,32 +54,64 @@ def validate_params(a: int, b: int) -> UlamParams:
     return UlamParams(a, b, math.gcd(a, b) == 1)
 
 
-@dataclass(frozen=True, eq=False)
+def _int64_bytes(terms) -> bytes:
+    """Native int64 bytes of the terms: bytes as given, else a copy of an
+    int64 buffer (such as an ndarray) or of any sequence of ints."""
+    if isinstance(terms, bytes):
+        return terms
+    try:
+        view = memoryview(terms)
+    except TypeError:
+        view = None
+    if (view is not None and view.ndim == 1 and view.itemsize == 8
+            and view.format in ("q", "l")):
+        return view.tobytes()
+    return array("q", terms).tobytes()
+
+
 class UlamPrefix:
     """A fully decided initial segment: membership is settled for all m <= horizon.
 
-    `terms` is a read-only strictly increasing int64 array. Instances are
-    immutable and safe to share between threads.
+    The strictly increasing terms are immutable int64 storage. `ints` reads
+    it as a read-only memoryview of Python ints, which is all the queries
+    here use. `terms` is the same storage as a read-only int64 ndarray,
+    made on first access; apart from the sieve, only that access imports
+    numpy. Instances are immutable and safe to share between threads.
     """
 
-    params: UlamParams
-    terms: np.ndarray
-    horizon: int
+    __slots__ = ("params", "ints", "horizon", "_terms")
 
-    def __post_init__(self):
-        self.terms.setflags(write=False)
+    def __init__(self, params: UlamParams, terms, horizon: int):
+        set_ = object.__setattr__
+        set_(self, "params", params)
+        set_(self, "ints", memoryview(_int64_bytes(terms)).cast("q"))
+        set_(self, "horizon", horizon)
+        set_(self, "_terms", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"UlamPrefix is immutable; cannot set {name!r}")
+
+    @property
+    def terms(self):
+        """The terms as a read-only int64 ndarray (a view, not a copy)."""
+        if self._terms is None:
+            import numpy as np
+
+            object.__setattr__(self, "_terms",
+                               np.frombuffer(self.ints.obj, dtype=np.int64))
+        return self._terms
 
     def __len__(self) -> int:
-        return int(self.terms.size)
+        return len(self.ints)
 
     def term_list(self) -> list[int]:
-        return [int(t) for t in self.terms]
+        return self.ints.tolist()
 
     def contains(self, m: int) -> bool:
         if m > self.horizon:
             raise InsufficientHorizon(f"m={m} beyond horizon {self.horizon}")
-        i = int(np.searchsorted(self.terms, m))
-        return i < len(self) and int(self.terms[i]) == m
+        i = bisect_right(self.ints, m)
+        return i > 0 and self.ints[i - 1] == m
 
     def count_to(self, n: int) -> int:
         """|terms <= n|. Requires n <= horizon."""
@@ -87,7 +119,7 @@ class UlamPrefix:
             raise InsufficientHorizon(f"n={n} beyond horizon {self.horizon}")
         if n < self.params.a:
             return 0
-        return int(np.searchsorted(self.terms, n, side="right"))
+        return bisect_right(self.ints, n)
 
     def restrict(self, new_horizon: int) -> "UlamPrefix":
         """The prefix direct generation to new_horizon <= horizon would produce."""
@@ -95,8 +127,8 @@ class UlamPrefix:
             raise InvalidParameters(
                 f"restriction horizon must lie in [{self.params.b}, {self.horizon}]"
             )
-        cut = int(np.searchsorted(self.terms, new_horizon, side="right"))
-        return UlamPrefix(self.params, self.terms[:cut].copy(), new_horizon)
+        cut = bisect_right(self.ints, new_horizon)
+        return UlamPrefix(self.params, self.ints[:cut].tobytes(), new_horizon)
 
 
 def _check_horizon(requested: int, max_horizon: int, partial=None) -> None:
@@ -129,9 +161,13 @@ def _grow_to_count(prefix: UlamPrefix, k: int, max_horizon: int) -> UlamPrefix:
     return prefix
 
 
-def _sieve(params: UlamParams, known_terms: np.ndarray, known_horizon: int,
+def _sieve(params: UlamParams, known: bytes, known_horizon: int,
            horizon: int) -> UlamPrefix:
-    """Complete a decided prefix, all terms <= known_horizon, up to horizon."""
+    """Complete a decided prefix, whose int64 terms `known` are all <=
+    known_horizon, up to horizon. The only code that needs numpy."""
+    import numpy as np
+
+    known_terms = np.frombuffer(known, dtype=np.int64)
     # Byte tables: counts[m] and the term indicator f. bytearray.find scans
     # for the next count of 1; the numpy views do the slice adds.
     counts, f = bytearray(horizon + 1), bytearray(horizon + 1)
@@ -168,7 +204,7 @@ def _sieve(params: UlamParams, known_terms: np.ndarray, known_horizon: int,
                 adds = 0
         f[x] = 1
         prev = x
-    return UlamPrefix(params, np.flatnonzero(f_v).astype(np.int64, copy=False),
+    return UlamPrefix(params, np.flatnonzero(f_v).astype(np.int64, copy=False).tobytes(),
                       horizon)
 
 
@@ -176,7 +212,7 @@ def generate_to_horizon(params: UlamParams, horizon: int,
                         max_horizon: int = MAX_HORIZON_DEFAULT) -> UlamPrefix:
     """All terms <= horizon, in increasing order. Requires horizon >= b."""
     _check_target(params, horizon, max_horizon)
-    return _sieve(params, np.array([params.a, params.b], dtype=np.int64),
+    return _sieve(params, array("q", (params.a, params.b)).tobytes(),
                   params.b, horizon)
 
 
@@ -193,7 +229,7 @@ def extend(prefix: UlamPrefix, new_horizon: int,
             f"new horizon {new_horizon} must exceed {prefix.horizon}"
         )
     _check_horizon(new_horizon, max_horizon, partial=prefix)
-    return _sieve(prefix.params, prefix.terms, prefix.horizon, new_horizon)
+    return _sieve(prefix.params, prefix.ints.obj, prefix.horizon, new_horizon)
 
 
 def generate_count(params: UlamParams, k: int,
@@ -224,7 +260,7 @@ def is_member(params: UlamParams, m: int,
 def nth_term(params: UlamParams, k: int,
              store: PrefixStore | None = None) -> int:
     """The k-th smallest term (1-based)."""
-    return int(_source(store).get_count(params, k).terms[k - 1])
+    return _source(store).get_count(params, k).ints[k - 1]
 
 
 def count_upto(params: UlamParams, n: int,
@@ -259,13 +295,8 @@ def rep_count_exact(prefix: UlamPrefix, n: int) -> int:
         raise InsufficientHorizon(f"n={n} beyond horizon {prefix.horizon}")
     if n < 1:
         raise InvalidParameters(f"n must be positive, got {n}")
-    terms = prefix.terms
+    terms = prefix.ints
     # x ranges over terms <= (n-1)//2; the partner n-x is then > x.
-    cut = int(np.searchsorted(terms, (n - 1) // 2, side="right"))
-    if cut == 0:
-        return 0
-    xs = terms[:cut]
-    ys = n - xs
-    idx = np.searchsorted(terms, ys)
-    idx[idx == len(terms)] = 0  # safe sentinel; value compare below decides
-    return int(np.count_nonzero(terms[idx] == ys))
+    cut = bisect_right(terms, (n - 1) // 2)
+    partners = set(terms[cut:bisect_right(terms, n)])
+    return sum(n - x in partners for x in terms[:cut])

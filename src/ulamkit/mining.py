@@ -54,14 +54,6 @@ def run_decomposition(n: int, values) -> RunDecomposition:
     return RunDecomposition(n, runs(values))
 
 
-def flatten(decomp: RunDecomposition) -> list[int]:
-    """Inverse of runs(): the underlying sorted point list."""
-    out: list[int] = []
-    for lo, hi in decomp.runs:
-        out.extend(range(lo, hi + 1))
-    return out
-
-
 def _fit_line(n1: int, v1: int, n2: int, v2: int, run_index: int,
               side: str) -> tuple[int, int]:
     num = v2 - v1

@@ -17,11 +17,8 @@ they certify agreement with a computed prefix, nothing beyond it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .engine import UlamParams, UlamPrefix, require_analysis_grade
 from .errors import StaleCandidate
@@ -52,23 +49,23 @@ def ap_decomposition(prefix: UlamPrefix, candidate: PeriodicityCandidate,
             f"candidate (N={candidate.N}, p={candidate.p}) does not "
             f"reproduce the prefix tail"
         )
-    terms = prefix.terms
+    terms = prefix.ints
     N, p = candidate.N, candidate.p
     last_index = len(prefix) - 1
     next_gap = candidate.period_gaps[(last_index - N) % p]
-    predicted_next = int(terms[-1]) + next_gap
+    predicted_next = terms[-1] + next_gap
     if predicted_next <= prefix.horizon:
         raise StaleCandidate(
             f"periodic model predicts a member at {predicted_next} inside "
             f"the decided-empty region up to horizon {prefix.horizon}"
         )
-    u_N = int(terms[N])
+    u_N = terms[N]
     firsts = [u_N + sum(candidate.period_gaps[:r]) for r in range(p)]
-    assert firsts == [int(t) for t in terms[N:N + p]]
+    assert firsts == terms[N:N + p].tolist()
     return APDecomposition(
         params=prefix.params,
         candidate=candidate,
-        initial_set=tuple(int(t) for t in terms[:N]),
+        initial_set=tuple(terms[:N].tolist()),
         progressions=tuple((first, candidate.G) for first in firsts),
     )
 
@@ -79,16 +76,6 @@ def ap_member(decomp: APDecomposition, m: int) -> bool:
         return True
     return any(m >= first and (m - first) % diff == 0
                for first, diff in decomp.progressions)
-
-
-def ap_points_upto(decomp: APDecomposition, horizon: int) -> list[int]:
-    """All members the decomposition claims in [0, horizon], ascending."""
-    chunks = [np.asarray([v for v in decomp.initial_set if v <= horizon],
-                         dtype=np.int64)]
-    for first, diff in decomp.progressions:
-        if first <= horizon:
-            chunks.append(np.arange(first, horizon + 1, diff, dtype=np.int64))
-    return np.unique(np.concatenate(chunks)).tolist()
 
 
 def to_presburger_text(decomp: APDecomposition) -> str:
@@ -132,7 +119,3 @@ def decomposition_obj(decomp: APDecomposition) -> dict:
         "progressions": [{"first": first, "diff": diff}
                          for first, diff in decomp.progressions],
     }
-
-
-def decomposition_json(decomp: APDecomposition) -> str:
-    return json.dumps(decomposition_obj(decomp), separators=(",", ":"))

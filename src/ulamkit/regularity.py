@@ -9,10 +9,11 @@ prefix can only suggest, never prove, is reported with an explicit
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import chain, repeat
+from operator import mod, sub
 
 from . import rigidity
 from .cache import PrefixStore
@@ -72,7 +73,8 @@ def gaps(prefix: UlamPrefix) -> list[int]:
     """Consecutive differences of the term list."""
     if len(prefix) < 2:
         raise InvalidParameters("gap sequence needs at least 2 terms")
-    return np.diff(prefix.terms).tolist()
+    terms = prefix.ints
+    return list(map(sub, terms[1:], terms))
 
 
 def _check_period_options(min_periods: int, min_coverage) -> None:
@@ -116,15 +118,15 @@ def detect_period(gap_list, min_periods: int = 3,
     least min_periods full periods and at least min_coverage of the list.
     """
     _check_period_options(min_periods, min_coverage)
-    g = np.asarray(gap_list, dtype=np.int64)
-    K = int(g.size)
+    g = list(map(int, gap_list))
+    K = len(g)
     # Z-algorithm (Gusfield 1997, sec. 1.3) over the reversed list s:
     # z[p] is the longest common prefix of s and s[p:], so the longest
     # p-periodic suffix of g has length p + z[p] (z[p] <= K - p). Each z[p]
     # needs only earlier entries, so p is tested as soon as z[p] is known.
     # A match is walked element by element until n reaches a multiple of 8;
     # _match_end finishes it, so a long periodic tail costs O(log) compares.
-    s = g[::-1].tolist()
+    s = g[::-1]
     z = [K] * (K // min_periods + 1)
     left = right = 0
     for p in range(1, K // min_periods + 1):
@@ -140,7 +142,7 @@ def detect_period(gap_list, min_periods: int = 3,
         tail = p + n
         if tail >= min_periods * p and Fraction(tail, K) >= min_coverage:
             N = K - tail
-            period = tuple(int(x) for x in g[N:N + p])
+            period = tuple(g[N:N + p])
             return PeriodicityCandidate(
                 N=N, p=p, period_gaps=period, G=sum(period),
                 periods_observed=tail // p,
@@ -156,24 +158,12 @@ def candidate_matches_prefix(prefix: UlamPrefix,
     Checks that the stored period equals the gaps at the threshold and that
     every later gap continues it.
     """
-    g = np.diff(prefix.terms)
-    N, p = candidate.N, candidate.p
-    if N + p > g.size:
+    terms = prefix.ints[candidate.N:]
+    tail = list(map(sub, terms[1:], terms))
+    period = list(candidate.period_gaps)
+    if len(tail) < candidate.p or tail[:candidate.p] != period:
         return False
-    if tuple(int(x) for x in g[N:N + p]) != candidate.period_gaps:
-        return False
-    tail = g[N:]
-    period = np.asarray(candidate.period_gaps, dtype=tail.dtype)
-    return bool(np.array_equal(tail, np.resize(period, tail.size)))
-
-
-def reconstruct_term(candidate: PeriodicityCandidate, u_N: int, index: int) -> int:
-    """Term value at a given 0-based index >= N under the periodic model."""
-    if index < candidate.N:
-        raise InvalidParameters(f"index {index} below threshold {candidate.N}")
-    offset = index - candidate.N
-    m, r = divmod(offset, candidate.p)
-    return u_N + m * candidate.G + sum(candidate.period_gaps[:r])
+    return tail == (period * (len(tail) // candidate.p + 1))[:len(tail)]
 
 
 def density_from_period(candidate: PeriodicityCandidate) -> Fraction:
@@ -204,7 +194,8 @@ def density_inequality_check(params: UlamParams, q_num: int, q_den: int,
     evaluated in exact integer arithmetic. In ratio form, with q =
     q_num/q_den, this is C(n)/(n+1) <= q + (n+1)/k. Since C(n) <= n+1,
     for q >= 0 it holds automatically once n >= k - 1, so a scan only has
-    force below that point. Returns whether it held on the whole range
+    force below that point. The scan visits only the n where a violation
+    can begin, one per term. Returns whether it held on the whole range
     and, if not, the least violating n.
     """
     require_analysis_grade(params, allow_non_coprime)
@@ -216,25 +207,18 @@ def density_inequality_check(params: UlamParams, q_num: int, q_den: int,
         raise InvalidParameters("N must be nonnegative")
     if N > n_max:
         return DensityCheckResult(True, None)
-    prefix = _source(store).get(params, max(n_max, params.b))
-    terms = prefix.terms
-    # int64 is safe only when the largest intermediate product fits
-    vec_safe = (q_den * k * (n_max + 1) < 2**62 and
-                abs(q_num * k + q_den * (n_max + 1)) * (n_max + 1) < 2**62)
-    if vec_safe:
-        step = 1 << 20
-        for lo in range(N, n_max + 1, step):
-            hi = min(lo + step - 1, n_max)
-            n_arr = np.arange(lo, hi + 1, dtype=np.int64)
-            counts = np.searchsorted(terms, n_arr, side="right")
-            lhs = q_den * k * counts
-            rhs = (q_num * k + q_den * (n_arr + 1)) * (n_arr + 1)
-            bad = np.flatnonzero(lhs > rhs)
-            if bad.size:
-                return DensityCheckResult(False, int(n_arr[bad[0]]))
-        return DensityCheckResult(True, None)
-    for n in range(N, n_max + 1):
-        c = prefix.count_to(n)
+    terms = _source(store).get(params, max(n_max, params.b)).ints
+    # With m = n + 1 and c = C(n) the inequality fails where
+    # f(m) = (q_num*k + q_den*m)*m - q_den*k*c is negative. C is constant
+    # between terms, and on such a run f is negative at the first m already
+    # (when q_num*k + q_den*m < 0) or rises from there, so only n = N and
+    # the terms above N can be the least violation. As c <= m, f >= 0 once
+    # q_den*m >= k*(q_den - q_num): the scan ends before that.
+    last = min(n_max, -(-k * (q_den - q_num) // q_den) - 2)
+    i = bisect_right(terms, N)
+    for c, n in enumerate(chain((N,), terms[i:bisect_right(terms, last)]), i):
+        if n > last:
+            break
         if q_den * k * c > (q_num * k + q_den * (n + 1)) * (n + 1):
             return DensityCheckResult(False, n)
     return DensityCheckResult(True, None)
@@ -250,21 +234,31 @@ def residue_census(prefix: UlamPrefix, modulus: int, residue: int,
     """
     require_analysis_grade(prefix.params, allow_non_coprime)
     _check_residue_class(modulus, residue)
-    terms = prefix.terms
-    matching = terms[terms % modulus == residue]
-    count = int(matching.size)
+    terms = prefix.ints
+    residues = list(map(mod, terms, repeat(modulus)))
+    count = residues.count(residue)
     if count == 0:
         return Census(0, None, 0)
-    largest = int(matching[-1])
-    top_half = terms[len(prefix) // 2:]
-    if np.any(top_half % modulus == residue):
-        return Census(count, largest, None)
-    return Census(count, largest, largest + 1)
+    last = len(residues) - 1 - residues[::-1].index(residue)
+    largest = terms[last]
+    # recurring when a matching term lies in the top half of the prefix
+    return Census(count, largest, None if last >= len(terms) // 2 else largest + 1)
 
 
 def evens_census(prefix: UlamPrefix, allow_non_coprime: bool = False) -> Census:
     """residue_census specialised to the even terms."""
     return residue_census(prefix, 2, 0, allow_non_coprime)
+
+
+def _lower_bound_holds(prefix: UlamPrefix, B: int) -> bool:
+    """The integer lower-density bound B*C(n) >= n - a + 1 on [a, horizon].
+
+    C is constant between terms and the right side grows, so only n =
+    t_i - 1, where C(n) = i, and n = horizon can fail first.
+    """
+    a, terms = prefix.params.a, prefix.ints
+    return (all(B * i >= t - a for i, t in enumerate(terms))
+            and B * len(terms) >= prefix.horizon - a + 1)
 
 
 def _check_implications(statuses: dict) -> None:
@@ -322,11 +316,10 @@ def hierarchy_report(params: UlamParams, code: PatternCode | None,
         statuses["R2"] = VERIFIED
         witnesses["r2_candidate"] = candidate
 
-    g = np.asarray(gap_list)
-    B = int(g.max())
-    half = g.size // 2
+    B = max(gap_list)
+    half = len(gap_list) // 2
     # stability heuristic: the second half sets no new gap record
-    if g.size >= 4 and int(g[half:].max()) <= int(g[:half].max()):
+    if len(gap_list) >= 4 and max(gap_list[half:]) <= max(gap_list[:half]):
         statuses["R3"] = VERIFIED
         witnesses["r3_gap_bound"] = B
 
@@ -336,10 +329,7 @@ def hierarchy_report(params: UlamParams, code: PatternCode | None,
         witnesses["r4_density"] = d
 
     if statuses["R3"] == VERIFIED:
-        # integer form of the lower-density bound: B*C(n) >= n - a + 1
-        n_arr = np.arange(params.a, prefix.horizon + 1, dtype=np.int64)
-        counts = np.searchsorted(prefix.terms, n_arr, side="right")
-        if np.all(B * counts >= n_arr - params.a + 1):
+        if _lower_bound_holds(prefix, B):
             statuses["R5"] = VERIFIED
             witnesses["r5_lower_bound"] = Fraction(1, B)
         else:

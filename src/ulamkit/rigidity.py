@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import io
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from .cache import PrefixStore
 from .engine import UlamParams, UlamPrefix, _source, validate_params
@@ -52,18 +51,16 @@ def _check_applicability(code: PatternCode, params: UlamParams,
         )
 
 
-def _pattern_points_in_range(code: PatternCode, a: int, b: int,
-                             lo: int, hi: int) -> np.ndarray:
-    pts: set[int] = set()
+def _mismatches(code: PatternCode, prefix: UlamPrefix, lo: int,
+                hi: int) -> tuple[set[int], set[int]]:
+    """The members in [lo, hi], and the integers there on exactly one side."""
+    terms = prefix.ints
+    members = set(terms[bisect_left(terms, lo):bisect_right(terms, hi)])
+    pattern: set[int] = set()
     for comp in code.components:
-        pts.update(component_points(comp, a, b, lo=lo, hi=hi))
-    return np.array(sorted(pts), dtype=np.int64)
-
-
-def _member_points_in_range(prefix: UlamPrefix, lo: int, hi: int) -> np.ndarray:
-    i0 = int(np.searchsorted(prefix.terms, lo, side="left"))
-    i1 = int(np.searchsorted(prefix.terms, hi, side="right"))
-    return prefix.terms[i0:i1]
+        pattern.update(component_points(comp, prefix.params.a,
+                                        prefix.params.b, lo=lo, hi=hi))
+    return members, members ^ pattern
 
 
 def verify_segment(code: PatternCode, params: UlamParams, N: int, M: int,
@@ -80,16 +77,13 @@ def verify_segment(code: PatternCode, params: UlamParams, N: int, M: int,
     if N > M:
         return SegmentReport(params.a, params.b, ident, N, M, True, None, 0)
     prefix = _source(store).get(params, max(M, params.b))
-    members = _member_points_in_range(prefix, N, M)
-    pattern = _pattern_points_in_range(code, params.a, params.b, N, M)
-    sym = np.setxor1d(members, pattern)
-    if sym.size == 0:
+    members, sym = _mismatches(code, prefix, N, M)
+    if not sym:
         return SegmentReport(params.a, params.b, ident, N, M, True, None,
                              M - N + 1)
-    first = int(sym[0])
-    i = int(np.searchsorted(members, first))
-    in_ulam = i < members.size and int(members[i]) == first
-    direction = IN_ULAM_NOT_PATTERN if in_ulam else IN_PATTERN_NOT_ULAM
+    first = min(sym)
+    direction = (IN_ULAM_NOT_PATTERN if first in members
+                 else IN_PATTERN_NOT_ULAM)
     return SegmentReport(params.a, params.b, ident, N, M, False,
                          (first, direction), first - N)
 
@@ -108,13 +102,10 @@ def search_threshold(code: PatternCode, params: UlamParams, M: int,
 
 def _threshold(code: PatternCode, prefix: UlamPrefix, M: int) -> int | None:
     """search_threshold over a prefix reaching M."""
-    members = _member_points_in_range(prefix, 0, M)
-    pattern = _pattern_points_in_range(code, prefix.params.a,
-                                       prefix.params.b, 0, M)
-    sym = np.setxor1d(members, pattern)
-    if sym.size == 0:
+    sym = _mismatches(code, prefix, 0, M)[1]
+    if not sym:
         return 0
-    last = int(sym[-1])
+    last = max(sym)
     return last + 1 if last < M else None
 
 

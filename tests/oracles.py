@@ -5,6 +5,7 @@ incremental state, so it is slow but obviously correct. The real package
 must agree with these bit for bit on small inputs.
 """
 
+import json
 import re
 import struct
 import zlib
@@ -293,3 +294,205 @@ def naive_decode_prefix(data):
     if horizon > VALUE_LIMIT:
         raise CorruptCache(f"horizon {horizon} exceeds the value limit 2**62")
     return UlamPrefix(params, np.array(terms, dtype=np.int64), horizon)
+
+
+# The numpy codec that served cache.encode_prefix and cache.decode_prefix
+# before the standard-library one; it agrees with the byte-at-a-time pair
+# above.
+
+def _vector_encode_varints(values):
+    """Concatenated LEB128 encodings of nonnegative uint64 values."""
+    levels = []  # per 7-bit group: indices of the values still going, bytes
+    lengths = np.zeros(values.size, dtype=np.int64)
+    idx = np.arange(values.size)
+    rest = values
+    while idx.size:
+        more = rest >= 0x80
+        group = (rest & 0x7F).astype(np.uint8)
+        group[more] |= 0x80
+        levels.append((idx, group))
+        lengths[idx] += 1
+        idx, rest = idx[more], rest[more] >> 7
+    starts = np.cumsum(lengths) - lengths
+    out = np.empty(int(lengths.sum()), dtype=np.uint8)
+    for j, (idx, group) in enumerate(levels):
+        out[starts[idx] + j] = group
+    return out.tobytes()
+
+
+def _vector_decode_terms(payload, term_count):
+    """Terms from the first varint and the gaps after it, vectorized."""
+    ends = np.flatnonzero(payload < 0x80)[:term_count]
+    lengths = np.diff(ends, prepend=-1)
+    starts = ends - lengths + 1
+    values = (payload[starts] & 0x7F).astype(np.uint64)
+    high = np.zeros(ends.size, dtype=bool)  # bits at or above 2**63 set
+    idx = np.flatnonzero(lengths > 1)
+    for j in range(1, 10):
+        group = payload[starts[idx] + j] & 0x7F
+        if j < 9:
+            values[idx] |= group.astype(np.uint64) << (7 * j)
+        else:
+            high[idx] = group != 0
+        idx = idx[lengths[idx] > j + 1]
+    overlong = lengths > 10
+    zero = (values == 0) & ~high
+    zero[:1] = False  # the first varint is a term, not a gap
+    too_big = high | (values > VALUE_LIMIT)
+    sums = np.cumsum(np.where(overlong | too_big, 0, values))
+    too_big |= sums > VALUE_LIMIT
+    bad = np.flatnonzero(overlong | zero | too_big)
+    if bad.size:
+        i = int(bad[0])
+        if overlong[i]:
+            raise CorruptCache("varint exceeds 64 bits")
+        if zero[i]:
+            raise CorruptCache(f"non-increasing gap at term {i}")
+        raise CorruptCache(f"term {i} exceeds the value limit 2**62")
+    used = int(ends[-1]) + 1 if ends.size else 0
+    if ends.size < term_count:
+        raise CorruptCache("varint exceeds 64 bits" if payload.size - used > 10
+                           else "varint runs past payload end")
+    if used != payload.size:
+        raise CorruptCache(f"{payload.size - used} unread payload bytes")
+    return sums.astype(np.int64)
+
+
+def vector_encode_prefix(prefix):
+    """The numpy reference for cache.encode_prefix."""
+    terms = prefix.terms
+    values = np.empty(len(terms), dtype=np.uint64)
+    values[0] = terms[0]
+    values[1:] = np.diff(terms)
+    body = (CACHE_MAGIC + CACHE_HEADER.pack(prefix.params.a, prefix.params.b,
+                                            len(terms), prefix.horizon)
+            + _vector_encode_varints(values))
+    return body + CACHE_CRC.pack(zlib.crc32(body))
+
+
+def vector_decode_terms(payload, term_count):
+    """The numpy reference for decoding a cache payload: int64 terms, or the
+    CorruptCache the real decoder must raise."""
+    return _vector_decode_terms(np.frombuffer(payload, dtype=np.uint8),
+                                term_count)
+
+
+# Analysis code from before it moved to the standard library, kept as
+# references for the implementations that replaced it.
+
+def vector_gaps(prefix):
+    return np.diff(prefix.terms).tolist()
+
+
+def vector_residue_census(prefix, modulus, residue):
+    """(count, largest, tail_from) as regularity.residue_census gave them."""
+    terms = prefix.terms
+    matching = terms[terms % modulus == residue]
+    if matching.size == 0:
+        return 0, None, 0
+    largest = int(matching[-1])
+    top_half = terms[len(prefix) // 2:]
+    if np.any(top_half % modulus == residue):
+        return int(matching.size), largest, None
+    return int(matching.size), largest, largest + 1
+
+
+def scan_density_check(prefix, q_num, q_den, k, N, n_max):
+    """(holds, first_violation) by testing every n in [N, n_max]: in int64
+    chunks of 2**20 when the products fit, else one n at a time."""
+    if N > n_max:
+        return True, None
+    terms = prefix.terms
+    vec_safe = (q_den * k * (n_max + 1) < 2**62 and
+                abs(q_num * k + q_den * (n_max + 1)) * (n_max + 1) < 2**62)
+    if vec_safe:
+        step = 1 << 20
+        for lo in range(N, n_max + 1, step):
+            hi = min(lo + step - 1, n_max)
+            n_arr = np.arange(lo, hi + 1, dtype=np.int64)
+            counts = np.searchsorted(terms, n_arr, side="right")
+            lhs = q_den * k * counts
+            rhs = (q_num * k + q_den * (n_arr + 1)) * (n_arr + 1)
+            bad = np.flatnonzero(lhs > rhs)
+            if bad.size:
+                return False, int(n_arr[bad[0]])
+        return True, None
+    for n in range(N, n_max + 1):
+        c = prefix.count_to(n)
+        if q_den * k * c > (q_num * k + q_den * (n + 1)) * (n + 1):
+            return False, n
+    return True, None
+
+
+def scan_lower_density(prefix, B):
+    """Whether B*C(n) >= n - a + 1 for every n in [a, horizon], n by n."""
+    a = prefix.params.a
+    n_arr = np.arange(a, prefix.horizon + 1, dtype=np.int64)
+    counts = np.searchsorted(prefix.terms, n_arr, side="right")
+    return bool(np.all(B * counts >= n_arr - a + 1))
+
+
+def _setxor_points(code, prefix, lo, hi):
+    from ulamkit.patterns import component_points
+    pts = set()
+    for comp in code.components:
+        pts.update(component_points(comp, prefix.params.a, prefix.params.b,
+                                    lo=lo, hi=hi))
+    pattern = np.array(sorted(pts), dtype=np.int64)
+    i0 = int(np.searchsorted(prefix.terms, lo, side="left"))
+    i1 = int(np.searchsorted(prefix.terms, hi, side="right"))
+    members = prefix.terms[i0:i1]
+    return members, np.setxor1d(members, pattern)
+
+
+def setxor_first_mismatch(code, prefix, N, M):
+    """(m, in_ulam) of the least disagreement on [N, M], or None."""
+    members, sym = _setxor_points(code, prefix, N, M)
+    if sym.size == 0:
+        return None
+    first = int(sym[0])
+    i = int(np.searchsorted(members, first))
+    return first, bool(i < members.size and int(members[i]) == first)
+
+
+def setxor_threshold(code, prefix, M):
+    """rigidity._threshold by np.setxor1d over [0, M]."""
+    sym = _setxor_points(code, prefix, 0, M)[1]
+    if sym.size == 0:
+        return 0
+    last = int(sym[-1])
+    return last + 1 if last < M else None
+
+
+# Helpers with no caller in the package, kept as test references.
+
+def reconstruct_term(candidate, u_N, index):
+    """Term value at a given 0-based index >= N under the periodic model."""
+    if index < candidate.N:
+        raise InvalidParameters(f"index {index} below threshold {candidate.N}")
+    offset = index - candidate.N
+    m, r = divmod(offset, candidate.p)
+    return u_N + m * candidate.G + sum(candidate.period_gaps[:r])
+
+
+def ap_points_upto(decomp, horizon):
+    """All members an AP decomposition claims in [0, horizon], ascending."""
+    chunks = [np.asarray([v for v in decomp.initial_set if v <= horizon],
+                         dtype=np.int64)]
+    for first, diff in decomp.progressions:
+        if first <= horizon:
+            chunks.append(np.arange(first, horizon + 1, diff, dtype=np.int64))
+    return np.unique(np.concatenate(chunks)).tolist()
+
+
+def decomposition_json(decomp):
+    from ulamkit.progressions import decomposition_obj
+    return json.dumps(decomposition_obj(decomp), separators=(",", ":"))
+
+
+def flatten(decomp):
+    """Inverse of mining.runs(): the underlying sorted point list."""
+    out = []
+    for lo, hi in decomp.runs:
+        out.extend(range(lo, hi + 1))
+    return out

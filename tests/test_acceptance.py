@@ -19,7 +19,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from oracles import naive_ulam, parse_presburger, random_code, rep_table
+from oracles import (naive_ulam, parse_presburger, random_code,
+                     reconstruct_term, rep_table)
 from ulamkit.cache import decode_prefix, encode_prefix
 from ulamkit.engine import UlamPrefix, generate_to_horizon, validate_params
 from ulamkit.mining import mine
@@ -28,7 +29,7 @@ from ulamkit.patterns import (Applicability, PatternCode, PatternComponent,
 from ulamkit.progressions import (ap_decomposition, ap_member,
                                   ap_to_pattern_code, to_presburger_text)
 from ulamkit.regularity import (density_inequality_check, detect_period,
-                                empirical_density, gaps, reconstruct_term)
+                                empirical_density, gaps)
 from ulamkit.rigidity import verify_segment
 
 U12 = [1, 2, 3, 4, 6, 8, 11, 13, 16, 18, 26, 28]

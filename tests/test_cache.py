@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ulamkit.cache
-from oracles import naive_decode_prefix, naive_encode_prefix, naive_ulam
+from oracles import (naive_decode_prefix, naive_encode_prefix, naive_ulam,
+                     vector_decode_terms, vector_encode_prefix)
 from ulamkit.cache import (MAGIC, PrefixStore, cache_path, cache_read,
                            cache_write, decode_prefix, encode_prefix)
 from ulamkit.engine import (UlamPrefix, count_upto, generate_count,
@@ -275,6 +276,82 @@ class TestOracle:
     ])
     def test_edge_payloads(self, payload):
         self.agree(3, 99, payload)
+
+
+@st.composite
+def mutated_payload(draw):
+    """(term_count, payload): a valid gap encoding, then one fault kind."""
+    values = [draw(st.integers(1, 1000))] + draw(st.lists(st.one_of(
+        st.integers(1, 127), st.integers(128, 2**40),
+        st.integers(2**61, 2**62)), min_size=1, max_size=40))
+    encoded = [varint(v, draw(st.integers(1, 3))) for v in values]
+    kind = draw(st.sampled_from(["valid", "overlong", "zero", "limit",
+                                 "truncated", "trailing"]))
+    i = draw(st.integers(0, len(values) - 1))
+    if kind == "overlong":
+        encoded[i] = varint(values[i], draw(st.integers(11, 13)))
+    elif kind == "zero":
+        encoded[i] = varint(0, draw(st.integers(1, 10)))
+    elif kind == "limit":
+        # a term a few one-byte gaps below 2**62, or one far past it
+        near = max(1, 2**62 - sum(values[:i]) - draw(st.integers(0, 600)))
+        encoded[i] = varint(draw(st.one_of(st.just(near),
+                                           st.integers(2**62, 2**70 - 1))))
+    payload = b"".join(encoded)
+    if kind == "truncated":
+        payload = payload[:draw(st.integers(0, len(payload) - 1))]
+    elif kind == "trailing":
+        payload += draw(st.binary(min_size=1, max_size=12))
+    count = len(values) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    return count, payload
+
+
+class TestVectorOracle:
+    """The standard-library codec against the numpy codec it replaced:
+    the same bytes, the same terms, and the same first CorruptCache."""
+
+    @given(st.lists(st.integers(0, 62), min_size=1, max_size=60),
+           st.integers(1, 1000), st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_encode_bytes(self, bit_lengths, first, slack):
+        terms = [first, first + 1]
+        for n in bit_lengths:
+            if terms[-1] + (1 << n) + n >= 2**63:
+                break
+            terms.append(terms[-1] + (1 << n) + n)
+        prefix = synthetic(terms, horizon=min(terms[-1] + slack, 2**63 - 1))
+        assert encode_prefix(prefix) == vector_encode_prefix(prefix)
+
+    @pytest.mark.parametrize("a,b,horizon", [(1, 2, 100_000), (2, 5, 30_000)])
+    def test_generated_prefixes(self, a, b, horizon):
+        prefix = generate_to_horizon(validate_params(a, b), horizon)
+        data = encode_prefix(prefix)
+        assert data == vector_encode_prefix(prefix)
+        payload = data[5 + 32:-4]
+        assert (ulamkit.cache._decode_terms(payload, len(prefix))
+                == vector_decode_terms(payload, len(prefix)).tolist()
+                == prefix.term_list())
+
+    def test_limit_crossed_inside_a_run(self):
+        # one-byte gaps carry the sum past 2**62 at term 4, two terms
+        # before their run ends
+        payload = varint(1) + varint(2**62 - 3) + b"\x01" * 5
+        for decode in (ulamkit.cache._decode_terms, vector_decode_terms):
+            with pytest.raises(CorruptCache, match="^term 4 exceeds"):
+                decode(payload, 7)
+
+    @given(mutated_payload())
+    @settings(max_examples=500, deadline=None)
+    def test_mutated_payloads(self, case):
+        count, payload = case
+        try:
+            expected = vector_decode_terms(payload, count).tolist()
+        except CorruptCache as exc:
+            with pytest.raises(CorruptCache) as got:
+                ulamkit.cache._decode_terms(payload, count)
+            assert str(got.value) == str(exc)
+        else:
+            assert ulamkit.cache._decode_terms(payload, count) == expected
 
 
 class TestFiles:

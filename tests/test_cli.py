@@ -558,6 +558,16 @@ class TestErrorMapping:
         code, _, err = run(capsys, "density", "--a", "2", "--b", "4",
                            "--n", "100")
         assert code == 2 and "coprime" in err
+        # the CLI names its flag, not the library's keyword argument
+        assert "--allow-non-coprime" in err and "allow_non_coprime" not in err
+        for argv in (["density-check", "--q", "1/2", "--k", "3", "--n-max", "10"],
+                     ["census", "--horizon", "10", "--modulus", "3"],
+                     ["detect-period", "--horizon", "10"],
+                     ["export-ap", "--horizon", "10"],
+                     ["export-presburger", "--horizon", "10"]):
+            code, _, err = run(capsys, argv[0], "--a", "2", "--b", "4",
+                               *argv[1:])
+            assert code == 2 and "pass --allow-non-coprime" in err, argv
         code, obj = run_json(capsys, "density", "--a", "2", "--b", "4",
                              "--n", "100", "--allow-non-coprime")
         assert code == 0

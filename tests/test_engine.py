@@ -71,6 +71,23 @@ class TestGenerate:
         with pytest.raises(ValueError):
             p.terms[0] = 99
 
+    def test_storage_and_terms_view(self):
+        p = engine.generate_to_horizon(params(1, 2), 28)
+        assert p.ints.readonly and p.ints.format == "q"
+        assert p.ints.tolist() == p.term_list() == U12_PREFIX
+        # terms is made once, as a zero-copy view of the same bytes
+        assert p.terms is p.terms and p.terms.base is p.ints.obj
+        assert p.terms.dtype == np.int64 and p.terms.tolist() == U12_PREFIX
+        with pytest.raises(AttributeError):
+            p.horizon = 30
+        # an int64 ndarray, a non-int64 ndarray, bytes and a list all build
+        # the same prefix
+        for given in (np.array(U12_PREFIX, dtype=np.int64),
+                      np.array(U12_PREFIX, dtype=np.int32),
+                      p.ints.obj, U12_PREFIX):
+            q = engine.UlamPrefix(p.params, given, 28)
+            assert q.term_list() == U12_PREFIX and len(q) == 12
+
 
 class TestGenerateCount:
     def test_first_two(self):

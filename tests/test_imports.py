@@ -111,6 +111,66 @@ class TestStartup:
             assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
 
+# Commands served from a cached prefix, by a hit or a restrict.
+CODE_25 = json.dumps({"components": [{"A1": 0, "A2": 0, "B1": 0, "B2": 0,
+                                      "p": 2, "q": 2, "L": 1, "S": [0],
+                                      "unbounded": False}],
+                      "applicability": None})
+CACHED_COMMANDS = {
+    "version": ["--version"],
+    "cache-info": ["cache", "info"],
+    "member": ["member", "--a", "1", "--b", "2", "--m", "1000"],
+    "count": ["count", "--a", "1", "--b", "2", "--n", "3000"],
+    "density": ["density", "--a", "1", "--b", "2", "--n", "2500"],
+    "gaps": ["gaps", "--a", "2", "--b", "5", "--horizon", "2000"],
+    "census": ["census", "--a", "1", "--b", "2", "--horizon", "3000",
+               "--modulus", "4"],
+    "detect-period": ["detect-period", "--a", "2", "--b", "5",
+                      "--horizon", "3000"],
+    "export-ap": ["export-ap", "--a", "2", "--b", "5", "--horizon", "3000"],
+    "export-presburger": ["export-presburger", "--a", "2", "--b", "5",
+                          "--horizon", "3000"],
+    "density-check": ["density-check", "--a", "1", "--b", "2", "--q", "1/13",
+                      "--k", "30", "--n-max", "2900"],
+    "verify-pattern": ["verify-pattern", "--a", "2", "--b", "5", "--code",
+                       CODE_25, "--lo", "1", "--hi", "2000"],
+}
+
+
+@pytest.fixture(scope="module")
+def cache_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cache")
+    for pair in (("1", "2"), ("2", "5")):
+        proc = run_module("generate", "--a", pair[0], "--b", pair[1],
+                          "--horizon", "3000", "--cache-dir", str(directory))
+        assert proc.returncode == 0 and proc.stderr == ""
+    return directory
+
+
+class TestNumpyOnlyToSieve:
+    """Only the sieve imports numpy: a command served from the cache never
+    loads it, and a command that sieves does."""
+
+    @pytest.mark.parametrize("name", sorted(CACHED_COMMANDS))
+    def test_cached_command_skips_numpy(self, tmp_path, cache_dir, name):
+        before = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
+        proc, loaded = probe(tmp_path, *CACHED_COMMANDS[name],
+                             "--cache-dir", str(cache_dir))
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout
+        assert "numpy" not in loaded
+        # served without writing: the cache is as the fixture left it
+        assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == before
+
+    def test_sieve_on_a_miss_loads_numpy(self, tmp_path):
+        proc, loaded = probe(tmp_path, "generate", "--a", "1", "--b", "2",
+                             "--horizon", "100", "--cache-dir",
+                             str(tmp_path / "empty"))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert loaded["numpy"] is True
+        assert (tmp_path / "empty" / "u1_2.ulam").exists()
+
+
 SWEEP_ARGV = ["sweep", "--code", json.dumps({
     "components": [{"A1": 0, "A2": 4, "B1": 0, "B2": 5, "p": 2, "q": -1,
                     "L": 1, "S": [0], "unbounded": False}],

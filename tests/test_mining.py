@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from ulamkit.engine import generate_to_horizon, validate_params
 from ulamkit.errors import AlignmentFailure, FitFailure, InvalidParameters
 from ulamkit.mining import (MinedComponent, RunDecomposition, fit_components,
-                            flatten, mine, run_decomposition, runs)
+                            mine, run_decomposition, runs)
 from ulamkit.patterns import PatternComponent, pattern_set
 
-from oracles import naive_runs
+from oracles import flatten, naive_runs
 
 # U(1, n) restricted to [1, 5n - 1], frozen from direct generation.
 FAMILY_RUNS = {

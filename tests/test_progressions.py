@@ -8,7 +8,7 @@ from ulamkit.errors import StaleCandidate
 from ulamkit.progressions import APDecomposition
 from ulamkit.regularity import PeriodicityCandidate
 
-from oracles import parse_presburger
+from oracles import ap_points_upto, decomposition_json, parse_presburger
 
 
 def params(a, b):
@@ -44,7 +44,7 @@ class TestDecomposition:
         residues = [first % G for first, _ in decomp.progressions]
         assert len(set(residues)) == len(residues)
         assert set(decomp.initial_set).isdisjoint(
-            progressions.ap_points_upto(decomp, 3000)[len(decomp.initial_set):])
+            ap_points_upto(decomp, 3000)[len(decomp.initial_set):])
 
     def test_single_gap_progression(self):
         # constant-gap tail gives one progression
@@ -92,7 +92,7 @@ class TestMembership:
 
     def test_agrees_with_engine_on_full_horizon(self):
         prefix, _, decomp = regular_decomp(2, 5, 3000)
-        claimed = progressions.ap_points_upto(decomp, prefix.horizon)
+        claimed = ap_points_upto(decomp, prefix.horizon)
         assert claimed == prefix.term_list()
 
     def test_agrees_pointwise(self):
@@ -166,7 +166,7 @@ class TestJson:
     def test_shape_and_grade(self):
         import json
         decomp = synthetic_decomp(initial=(1,), progs=((5, 3),))
-        obj = json.loads(progressions.decomposition_json(decomp))
+        obj = json.loads(decomposition_json(decomp))
         assert obj == {
             "grade": "candidate", "a": 1, "b": 2,
             "initial_set": [1],

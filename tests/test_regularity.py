@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_detect_period
+from oracles import (naive_detect_period, naive_ulam, reconstruct_term,
+                     scan_density_check, scan_lower_density, vector_gaps,
+                     vector_residue_census)
 from ulamkit import engine, regularity
 from ulamkit.errors import InvalidParameters
 from ulamkit.patterns import PatternCode, PatternComponent
@@ -160,12 +162,12 @@ class TestReconstruction:
         c = regularity.detect_period(regularity.gaps(p))
         u_N = int(p.terms[c.N])
         for i in range(c.N, len(p)):
-            assert regularity.reconstruct_term(c, u_N, i) == int(p.terms[i])
+            assert reconstruct_term(c, u_N, i) == int(p.terms[i])
 
     def test_below_threshold_rejected(self):
         c = regularity.PeriodicityCandidate(3, 1, (2,), 2, 4, Fraction(1, 2))
         with pytest.raises(InvalidParameters):
-            regularity.reconstruct_term(c, 10, 2)
+            reconstruct_term(c, 10, 2)
 
     def test_candidate_matches_prefix(self):
         p = prefix(2, 5, 3000)
@@ -349,3 +351,104 @@ class TestHierarchy:
         a = 2
         for n in range(a, 4001):
             assert B * p.count_to(n) >= n - a + 1
+
+
+# Coprime pairs with early, late and no even terms past the seeds.
+ORACLE_PAIRS = [(1, 2), (1, 3), (2, 5), (3, 4), (4, 9), (5, 6)]
+
+
+class TestAgainstReplacedCode:
+    """The standard-library analyses against the numpy code they replaced."""
+
+    @given(st.sampled_from(ORACLE_PAIRS), st.integers(0, 3000))
+    @settings(max_examples=60, deadline=None)
+    def test_gaps(self, pair, horizon):
+        p = prefix(*pair, max(horizon, pair[1]))
+        got = regularity.gaps(p)
+        assert got == vector_gaps(p)
+        terms = naive_ulam(*pair, p.horizon)
+        assert got == [y - x for x, y in zip(terms, terms[1:])]
+
+    @given(st.sampled_from(ORACLE_PAIRS), st.integers(0, 3000),
+           st.integers(1, 40), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_residue_census(self, pair, horizon, modulus, data):
+        residue = data.draw(st.integers(0, modulus - 1))
+        p = prefix(*pair, max(horizon, pair[1]))
+        c = regularity.residue_census(p, modulus, residue)
+        assert (c.count, c.largest, c.tail_from) == vector_residue_census(
+            p, modulus, residue)
+
+    @given(st.sampled_from(ORACLE_PAIRS), st.integers(0, 3000),
+           st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_lower_density_bound(self, pair, horizon, B):
+        # B ranges below and above each prefix's largest gap, so the bound
+        # fails as well as holds
+        p = prefix(*pair, max(horizon, pair[1]))
+        assert regularity._lower_bound_holds(p, B) == scan_lower_density(p, B)
+
+    @given(st.sets(st.integers(1, 400), min_size=2, max_size=40),
+           st.integers(0, 300), st.integers(1, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_lower_density_bound_synthetic(self, points, slack, B):
+        # any increasing terms, with a horizon that may run far past the last
+        terms = sorted(points)
+        p = engine.UlamPrefix(params(terms[0], terms[1]), terms,
+                              terms[-1] + slack)
+        assert regularity._lower_bound_holds(p, B) == scan_lower_density(p, B)
+
+    @given(st.sampled_from(ORACLE_PAIRS), st.integers(4, 3000))
+    @settings(max_examples=40, deadline=None)
+    def test_hierarchy_r5(self, pair, horizon):
+        p = prefix(*pair, max(horizon, pair[1]))
+        rep = regularity.hierarchy_report(params(*pair), None, None, p)
+        if rep.statuses["R3"] == VERIFIED:
+            B = rep.witnesses["r3_gap_bound"]
+            assert scan_lower_density(p, B)
+            assert rep.statuses["R5"] == VERIFIED
+            assert rep.witnesses["r5_lower_bound"] == Fraction(1, B)
+
+
+def density_case(q_num):
+    """Cases for one sign of q: a pair, q_den, k (up to past 2**62, where
+    the replaced scan took its one-n-at-a-time path), N and n_max."""
+    return st.tuples(st.sampled_from(ORACLE_PAIRS), q_num, st.integers(1, 13),
+                     st.one_of(st.integers(1, 60), st.integers(1, 10**5),
+                               st.integers(2**61, 2**70)),
+                     st.integers(0, 2500), st.integers(0, 3000))
+
+
+class TestDensityAgainstScan:
+    """density_inequality_check against the n-by-n scan it replaced."""
+
+    @staticmethod
+    def check(case):
+        pair, q_num, q_den, k, N, n_max = case
+        got = regularity.density_inequality_check(params(*pair), q_num, q_den,
+                                                  k, N, n_max)
+        p = prefix(*pair, max(n_max, pair[1]))
+        assert (got.holds, got.first_violation) == scan_density_check(
+            p, q_num, q_den, k, N, n_max)
+
+    @given(density_case(st.integers(-60, -1)))
+    @settings(max_examples=200, deadline=None)
+    def test_negative_q(self, case):
+        self.check(case)
+
+    @given(density_case(st.just(0)))
+    @settings(max_examples=100, deadline=None)
+    def test_zero_q(self, case):
+        self.check(case)
+
+    @given(density_case(st.integers(1, 30)))
+    @settings(max_examples=150, deadline=None)
+    def test_positive_q(self, case):
+        self.check(case)
+
+    @pytest.mark.parametrize("q_num,q_den,k,N", [
+        (-1, 13, 40, 0), (-1, 13, 400, 0), (-1, 13, 400, 31), (-7, 3, 25, 55),
+        (-1, 2, 2**63, 0), (0, 1, 2**63, 0), (1, 13, 2**63, 100),
+        (0, 1, 650, 400), (1, 2, 10**4, 1)])
+    def test_edges(self, q_num, q_den, k, N):
+        self.check(((1, 2), q_num, q_den, k, N, 2000))

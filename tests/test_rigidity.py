@@ -1,12 +1,16 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ulamkit import engine, rigidity
 from ulamkit.errors import ApplicabilityError, InvalidParameters
 from ulamkit.patterns import Applicability, PatternCode, PatternComponent, code_id
 
-from oracles import naive_ulam
+from oracles import (naive_ulam, random_code, setxor_first_mismatch,
+                     setxor_threshold)
 
 BLOCK = PatternComponent(A1=0, A2=4, B1=0, B2=5, p=2, q=-1)
 BLOCK_CODE = PatternCode((BLOCK,))
@@ -154,3 +158,30 @@ class TestEmission:
         assert csv_p.read_text().startswith("n,")
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
         assert leftovers == []
+
+
+ORACLE_PAIRS = [(1, 2), (1, 10), (2, 5), (3, 4), (1, 50)]
+
+
+@given(st.integers(0, 10**9), st.sampled_from(ORACLE_PAIRS),
+       st.integers(0, 1500), st.integers(0, 1500))
+@settings(max_examples=200, deadline=None)
+def test_matches_setxor_reference(seed, pair, N, M):
+    # random codes against the np.setxor1d comparison the sets replaced
+    code = random_code(random.Random(seed))
+    p = params(*pair)
+    prefix = engine.generate_to_horizon(p, max(M, p.b))
+    report = rigidity.verify_segment(code, p, N, M, override_applicability=True)
+    if N <= M:
+        expected = setxor_first_mismatch(code, prefix, N, M)
+        if expected is None:
+            assert report.agrees and report.matched_count == M - N + 1
+        else:
+            first, in_ulam = expected
+            direction = (rigidity.IN_ULAM_NOT_PATTERN if in_ulam
+                         else rigidity.IN_PATTERN_NOT_ULAM)
+            assert not report.agrees
+            assert report.first_mismatch == (first, direction)
+            assert report.matched_count == first - N
+    assert (rigidity.search_threshold(code, p, M, override_applicability=True)
+            == setxor_threshold(code, prefix, M))
