@@ -250,12 +250,10 @@ def cmd_census(args) -> int:
     prefix = _store(args).get(params, args.horizon)
     residues = ([args.residue] if args.residue is not None
                 else list(range(args.modulus)))
-    rows = []
-    for r in residues:
-        c = regularity.residue_census(
-            prefix, args.modulus, r, allow_non_coprime=args.allow_non_coprime)
-        rows.append({"residue": r, "count": c.count, "largest": c.largest,
-                     "tail_from": c.tail_from})
+    censuses = regularity.residue_censuses(
+        prefix, args.modulus, residues, allow_non_coprime=args.allow_non_coprime)
+    rows = [{"residue": r, "count": c.count, "largest": c.largest,
+             "tail_from": c.tail_from} for r, c in zip(residues, censuses)]
     obj = {"a": params.a, "b": params.b, "horizon": prefix.horizon,
            "modulus": args.modulus, "rows": rows}
     lines = []

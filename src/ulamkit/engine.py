@@ -2,13 +2,18 @@
 
 The sequence starts from seeds a < b; each later term is the least integer
 above the current maximum having exactly one representation as a sum of two
-distinct earlier terms. The sieve keeps a byte indicator f of the admitted
+distinct earlier terms. The sieve keeps an indicator f of the admitted
 terms and, for every undecided m up to the horizon, its representation
 count clamped to 2 ("none", "one" or "more" decides membership). Admitting
-x adds f shifted by x to the counts in one contiguous slice. A count is
+x adds f shifted by x to the counts in one contiguous window. A count is
 final when the forward scan reaches it, because both halves of any pair
-summing to it are smaller. Extension runs the same kernel, seeded with the
+summing to it are smaller. Extension runs the same sieve, seeded with the
 stored terms, which add only their sums above the old horizon.
+
+Two kernels hold the counts, chosen by horizon. Up to _BITS_MAX_HORIZON
+they are two Python-int bit planes, "at least one" and "at least two", and
+nothing imports numpy. Above it they are a byte table that numpy adds
+slices into, which is faster once numpy's import is paid for.
 """
 
 from __future__ import annotations
@@ -24,9 +29,16 @@ from .errors import HorizonTooLarge, InsufficientHorizon, InvalidParameters
 if TYPE_CHECKING:
     from .cache import PrefixStore
 
-# Default resource guard. A sieve to horizon H holds two (H+1)-byte tables
-# and 8 bytes per term: about 2 bytes per integer, 100 MB at this limit.
+# Default resource guard. Above _BITS_MAX_HORIZON a sieve to horizon H holds
+# two (H+1)-byte tables and 8 bytes per term: about 2 bytes per integer,
+# 100 MB at this limit. Below it each bit plane takes H/8 bytes, and each
+# term found about 40 bytes until the sieve returns.
 MAX_HORIZON_DEFAULT = 50_000_000
+
+# The largest horizon sieved on bit planes: the largest power of two at
+# which they beat the byte tables plus numpy's import for every measured
+# pair (README, "Performance").
+_BITS_MAX_HORIZON = 1 << 16
 
 # Values are validated against this so every int64 pair sum stays exact.
 _VALUE_LIMIT = 1 << 62
@@ -161,10 +173,83 @@ def _grow_to_count(prefix: UlamPrefix, k: int, max_horizon: int) -> UlamPrefix:
     return prefix
 
 
+def _seed_end(terms, known_horizon: int) -> int:
+    """How many known terms have no sum above known_horizon with a smaller
+    term: those whose sum with their predecessor is <= known_horizon, and
+    at least the first. Adjacent-pair sums increase, so these form a prefix;
+    every term up to known_horizon // 2 is in it, and at most one more."""
+    j = max(bisect_right(terms, known_horizon // 2), 1)
+    while j < len(terms) and terms[j] + terms[j - 1] <= known_horizon:
+        j += 1
+    return j
+
+
 def _sieve(params: UlamParams, known: bytes, known_horizon: int,
            horizon: int) -> UlamPrefix:
     """Complete a decided prefix, whose int64 terms `known` are all <=
-    known_horizon, up to horizon. The only code that needs numpy."""
+    known_horizon, up to horizon: on bit planes up to _BITS_MAX_HORIZON,
+    on byte tables above it."""
+    if horizon <= _BITS_MAX_HORIZON:
+        terms = _bit_sieve(known, known_horizon, horizon)
+    else:
+        terms = _byte_sieve(params.a, known, known_horizon, horizon)
+    return UlamPrefix(params, terms, horizon)
+
+
+# Plane positions the next-term search reads before it XORs whole planes.
+_WINDOW = (1 << 64) - 1
+
+
+def _bit_sieve(known: bytes, known_horizon: int, horizon: int) -> bytes:
+    """The terms up to horizon as int64 bytes, with Python ints as bit sets.
+
+    Bit p of the planes `one` and `two` says that scan + p has at least one
+    and at least two representations; positions below scan are decided and
+    shifted out. g holds f shifted down by 1 (bit v - 1 for the term v >= 1),
+    so a term x found at scan - 1 adds the sums x + v at g itself, and none
+    below x + a, as g has no bit below a - 1.
+    """
+    terms = memoryview(known).cast("q")
+    j = _seed_end(terms, known_horizon)
+    seed = bytearray(((known_horizon - 1) >> 3) + 1)
+    for t in terms[:j]:
+        seed[(t - 1) >> 3] |= 1 << ((t - 1) & 7)
+    g = int.from_bytes(seed, "little")
+    prev = terms[j - 1]
+    scan = known_horizon + 1
+    top = (1 << (horizon - known_horizon)) - 1  # positions up to horizon
+    one = two = 0
+    found = []
+    while True:
+        if j < len(terms):
+            x = terms[j]
+            j += 1
+            sums = g >> (scan - x - 1)
+        else:
+            # two is a subset of one, so one ^ two is "exactly one"
+            exactly_one = (one & _WINDOW) ^ (two & _WINDOW) or one ^ two
+            if not exactly_one:
+                break
+            k = (exactly_one & -exactly_one).bit_length()
+            x = scan + k - 1
+            one >>= k
+            two >>= k
+            top >>= k
+            scan = x + 1
+            found.append(x)
+            sums = g
+        if x + prev > horizon:
+            sums &= top
+        two |= one & sums
+        one |= sums
+        g |= 1 << (x - 1)
+        prev = x
+    return known + array("q", found).tobytes()
+
+
+def _byte_sieve(a: int, known: bytes, known_horizon: int, horizon: int) -> bytes:
+    """The terms up to horizon as int64 bytes, with byte tables. Apart from
+    `UlamPrefix.terms`, the only code that imports numpy."""
     import numpy as np
 
     known_terms = np.frombuffer(known, dtype=np.int64)
@@ -173,10 +258,7 @@ def _sieve(params: UlamParams, known: bytes, known_horizon: int,
     counts, f = bytearray(horizon + 1), bytearray(horizon + 1)
     counts_v = np.frombuffer(counts, dtype=np.uint8)
     f_v = np.frombuffer(f, dtype=np.uint8)
-    # A known term whose sum with its predecessor is <= known_horizon has no
-    # sum in the window; adjacent-pair sums increase, so these form a prefix.
-    j = int(np.searchsorted(known_terms[1:] + known_terms[:-1],
-                            known_horizon, side="right")) + 1
+    j = _seed_end(memoryview(known).cast("q"), known_horizon)
     f_v[known_terms[:j]] = 1
     prev = int(known_terms[j - 1])
     floor = scan_pos = known_horizon + 1
@@ -192,7 +274,7 @@ def _sieve(params: UlamParams, known: bytes, known_horizon: int,
             scan_pos = x + 1
         # Add the sums x + v for every earlier term v as one slice add of f
         # shifted by x; f[x] is set after, so v != x.
-        lo, hi = max(x + params.a, floor), min(x + prev, horizon)
+        lo, hi = max(x + a, floor), min(x + prev, horizon)
         if lo <= hi:
             counts_v[lo:hi + 1] += f_v[lo - x:hi + 1 - x]
             adds += 1
@@ -204,8 +286,7 @@ def _sieve(params: UlamParams, known: bytes, known_horizon: int,
                 adds = 0
         f[x] = 1
         prev = x
-    return UlamPrefix(params, np.flatnonzero(f_v).astype(np.int64, copy=False).tobytes(),
-                      horizon)
+    return np.flatnonzero(f_v).astype(np.int64, copy=False).tobytes()
 
 
 def generate_to_horizon(params: UlamParams, horizon: int,

@@ -10,6 +10,8 @@ prefix can only suggest, never prove, is reported with an explicit
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
@@ -232,17 +234,31 @@ def residue_census(prefix: UlamPrefix, modulus: int, residue: int,
     matching term occurs in the top half of the prefix (0 when the class
     is empty), else None. It is evidence, not a truth value.
     """
+    return residue_censuses(prefix, modulus, [residue], allow_non_coprime)[0]
+
+
+def residue_censuses(prefix: UlamPrefix, modulus: int, residues: Sequence[int],
+                     allow_non_coprime: bool = False) -> list[Census]:
+    """residue_census of each residue, from one pass over the terms."""
     require_analysis_grade(prefix.params, allow_non_coprime)
-    _check_residue_class(modulus, residue)
+    for residue in residues:
+        _check_residue_class(modulus, residue)
     terms = prefix.ints
-    residues = list(map(mod, terms, repeat(modulus)))
-    count = residues.count(residue)
-    if count == 0:
-        return Census(0, None, 0)
-    last = len(residues) - 1 - residues[::-1].index(residue)
-    largest = terms[last]
-    # recurring when a matching term lies in the top half of the prefix
-    return Census(count, largest, None if last >= len(terms) // 2 else largest + 1)
+    classes = list(map(mod, terms, repeat(modulus)))
+    counts = Counter(classes)
+    # the last index of each class: a later index overwrites an earlier one
+    last = dict(zip(classes, range(len(classes))))
+    censuses = []
+    for residue in residues:
+        i = last.get(residue)
+        if i is None:
+            censuses.append(Census(0, None, 0))
+            continue
+        largest = terms[i]
+        # recurring when a matching term lies in the top half of the prefix
+        censuses.append(Census(counts[residue], largest,
+                               None if i >= len(terms) // 2 else largest + 1))
+    return censuses
 
 
 def evens_census(prefix: UlamPrefix, allow_non_coprime: bool = False) -> Census:

@@ -140,6 +140,23 @@ class TestAnalysisCommands:
                              "--residue", "0")
         assert len(obj["rows"]) == 1 and obj["rows"][0]["residue"] == 0
 
+    def test_census_rows_are_per_class_censuses(self, capsys):
+        prefix = generate_to_horizon(validate_params(1, 2), 3000)
+        censuses = [residue_census(prefix, 7, r) for r in range(7)]
+        argv = ("census", "--a", "1", "--b", "2", "--horizon", "3000",
+                "--modulus", "7")
+        code, obj = run_json(capsys, *argv)
+        assert code == 0
+        assert obj["rows"] == [
+            {"residue": r, "count": c.count, "largest": c.largest,
+             "tail_from": c.tail_from} for r, c in enumerate(censuses)]
+        text = "".join(
+            f"residue {r}: count={c.count} largest={c.largest} "
+            + (f"(none beyond {c.tail_from - 1})\n" if c.tail_from
+               else "(recurring)\n")
+            for r, c in enumerate(censuses))
+        assert run(capsys, *argv) == (0, text, "")
+
 
 class TestPatternCommands:
     def test_verify_agrees(self, capsys):

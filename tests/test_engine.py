@@ -1,7 +1,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ulamkit import engine
@@ -220,23 +220,52 @@ class TestRestrict:
 
 SMALL_PAIRS = st.tuples(st.integers(1, 8), st.integers(2, 12)).filter(lambda t: t[0] < t[1])
 
+# Thresholds that put every horizon on the byte kernel, then on the bit one.
+KERNEL_THRESHOLDS = {"byte": 0, "bit": 1 << 62}
 
-@settings(deadline=None, max_examples=60)
+# For tests that patch the kernel threshold through a function-scoped
+# fixture: each example sets it before it sieves, so the fixture may be
+# shared across examples.
+PATCHES_THRESHOLD = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.fixture
+def each_kernel(monkeypatch):
+    """Call fn once with every horizon on each kernel: {kernel: result}."""
+    def run(fn):
+        results = {}
+        for kernel, threshold in KERNEL_THRESHOLDS.items():
+            monkeypatch.setattr(engine, "_BITS_MAX_HORIZON", threshold)
+            results[kernel] = fn()
+        return results
+    return run
+
+
+@settings(PATCHES_THRESHOLD, max_examples=60)
 @given(SMALL_PAIRS, st.integers(12, 400))
-def test_sieve_matches_oracle(pair, horizon):
+def test_sieve_matches_oracle(each_kernel, pair, horizon):
     a, b = pair
-    got = engine.generate_to_horizon(params(a, b), max(horizon, b)).term_list()
-    assert got == naive_ulam(a, b, max(horizon, b))
+    want = naive_ulam(a, b, max(horizon, b))
+    got = each_kernel(lambda: engine.generate_to_horizon(
+        params(a, b), max(horizon, b)).term_list())
+    assert got == {"byte": want, "bit": want}
 
 
-@settings(deadline=None, max_examples=40)
+@settings(PATCHES_THRESHOLD, max_examples=40)
 @given(SMALL_PAIRS, st.integers(12, 150), st.integers(1, 200))
-def test_extend_matches_direct(pair, h1, delta):
+def test_extend_matches_direct(each_kernel, pair, h1, delta):
     a, b = pair
     h1 = max(h1, b)
-    p = engine.generate_to_horizon(params(a, b), h1)
-    got = engine.extend(p, h1 + delta).term_list()
-    assert got == engine.generate_to_horizon(params(a, b), h1 + delta).term_list()
+
+    def extended_and_direct():
+        p = engine.generate_to_horizon(params(a, b), h1)
+        return (engine.extend(p, h1 + delta).term_list(),
+                engine.generate_to_horizon(params(a, b), h1 + delta).term_list())
+
+    got = each_kernel(extended_and_direct)
+    assert got["byte"] == got["bit"]
+    assert got["bit"][0] == got["bit"][1]
 
 
 # Coprime and non-coprime pairs, with horizons large enough for pair counts
@@ -244,26 +273,29 @@ def test_extend_matches_direct(pair, h1, delta):
 WIDE_PAIRS = st.tuples(st.integers(1, 12), st.integers(2, 40)).filter(lambda t: t[0] < t[1])
 
 
-@settings(deadline=None, max_examples=40)
-@example((1, 2), 20_000)
-@example((2, 4), 20_000)
-@given(WIDE_PAIRS, st.integers(2, 20_000))
-def test_generation_matches_scatter_oracle(pair, horizon):
+@settings(PATCHES_THRESHOLD, max_examples=40)
+@example(pair=(1, 2), horizon=20_000)
+@example(pair=(2, 4), horizon=20_000)
+@given(pair=WIDE_PAIRS, horizon=st.integers(2, 20_000))
+def test_generation_matches_scatter_oracle(each_kernel, pair, horizon):
     a, b = pair
     horizon = max(horizon, b)
-    got = engine.generate_to_horizon(params(a, b), horizon).term_list()
-    assert got == scatter_generate(a, b, horizon)
+    want = scatter_generate(a, b, horizon)
+    got = each_kernel(lambda: engine.generate_to_horizon(
+        params(a, b), horizon).term_list())
+    assert got == {"byte": want, "bit": want}
 
 
-@settings(deadline=None, max_examples=40)
+@settings(PATCHES_THRESHOLD, max_examples=40)
 @given(WIDE_PAIRS, st.integers(3, 20_000), st.data())
-def test_extend_matches_scatter_oracle(pair, horizon, data):
+def test_extend_matches_scatter_oracle(each_kernel, pair, horizon, data):
     a, b = pair
     horizon = max(horizon, b + 1)
     h0 = data.draw(st.integers(b, horizon - 1), label="h0")
-    got = engine.extend(engine.generate_to_horizon(params(a, b), h0), horizon)
-    assert got.term_list() == scatter_extend(scatter_generate(a, b, h0), h0,
-                                             horizon)
+    want = scatter_extend(scatter_generate(a, b, h0), h0, horizon)
+    got = each_kernel(lambda: engine.extend(
+        engine.generate_to_horizon(params(a, b), h0), horizon).term_list())
+    assert got == {"byte": want, "bit": want}
 
 
 @pytest.mark.parametrize("a, b, horizon", [(1, 2, 200_000), (2, 5, 50_000)])
@@ -272,14 +304,51 @@ def test_long_prefix_matches_scatter_oracle(a, b, horizon):
     assert got == scatter_generate(a, b, horizon)
 
 
-def test_counts_past_a_byte_match_naive():
-    # Some pair count exceeds 255 here, so membership rests on the sieve
-    # clamping its byte counts, in generation and in extension.
+def test_counts_past_a_byte_match_naive(monkeypatch):
+    # Some pair count exceeds 255 here, so membership rests on the byte
+    # kernel clamping its counts, in generation and in extension.
+    monkeypatch.setattr(engine, "_BITS_MAX_HORIZON", 0)
     expected = naive_ulam(2, 5, 5000)
     assert rep_table(expected, 5000).max() > 255
     assert engine.generate_to_horizon(params(2, 5), 5000).term_list() == expected
     start = engine.generate_to_horizon(params(2, 5), 2500)
     assert engine.extend(start, 5000).term_list() == expected
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 5), (3, 6)])
+def test_extend_across_the_kernel_threshold(a, b):
+    # the bit kernel builds the prefix, the byte kernel extends it
+    h0 = engine._BITS_MAX_HORIZON - 37
+    horizon = engine._BITS_MAX_HORIZON + 4000
+    start = engine.generate_to_horizon(params(a, b), h0)
+    got = engine.extend(start, horizon).term_list()
+    assert got == scatter_extend(scatter_generate(a, b, h0), h0, horizon)
+    assert got == scatter_generate(a, b, horizon)
+
+
+@settings(PATCHES_THRESHOLD, max_examples=25)
+@given(WIDE_PAIRS, st.integers(2, 3000), st.data())
+def test_extend_across_a_lowered_threshold(monkeypatch, pair, threshold, data):
+    a, b = pair
+    threshold = max(threshold, b)
+    h0 = data.draw(st.integers(b, threshold), label="h0")
+    horizon = data.draw(st.integers(threshold + 1, 4000), label="horizon")
+    monkeypatch.setattr(engine, "_BITS_MAX_HORIZON", threshold)
+    got = engine.extend(engine.generate_to_horizon(params(a, b), h0), horizon)
+    assert got.term_list() == naive_ulam(a, b, horizon)
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 5)])
+def test_count_doubling_across_the_kernel_threshold(a, b):
+    # generate_count doubles from b: bit kernel up to the threshold, then
+    # the byte kernel for the first term above it
+    threshold = engine._BITS_MAX_HORIZON
+    k = len(engine.generate_to_horizon(params(a, b), threshold)) + 1
+    p = engine.generate_count(params(a, b), k)
+    assert p.horizon // 2 <= threshold < p.horizon
+    want = scatter_generate(a, b, p.horizon)
+    assert p.term_list() == want
+    assert p.term_list()[:500] == naive_ulam(a, b, want[499])
 
 
 @settings(deadline=None, max_examples=40)

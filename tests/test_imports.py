@@ -148,8 +148,9 @@ def cache_dir(tmp_path_factory):
 
 
 class TestNumpyOnlyToSieve:
-    """Only the sieve imports numpy: a command served from the cache never
-    loads it, and a command that sieves does."""
+    """Only the byte kernel imports numpy: a command served from the cache
+    never loads it, nor does a sieve up to the bit-plane threshold; a sieve
+    above it does."""
 
     @pytest.mark.parametrize("name", sorted(CACHED_COMMANDS))
     def test_cached_command_skips_numpy(self, tmp_path, cache_dir, name):
@@ -162,13 +163,53 @@ class TestNumpyOnlyToSieve:
         # served without writing: the cache is as the fixture left it
         assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == before
 
-    def test_sieve_on_a_miss_loads_numpy(self, tmp_path):
+    def miss(self, tmp_path, horizon):
         proc, loaded = probe(tmp_path, "generate", "--a", "1", "--b", "2",
-                             "--horizon", "100", "--cache-dir",
+                             "--horizon", str(horizon), "--cache-dir",
                              str(tmp_path / "empty"))
         assert proc.returncode == 0 and proc.stderr == ""
-        assert loaded["numpy"] is True
         assert (tmp_path / "empty" / "u1_2.ulam").exists()
+        return loaded
+
+    def test_miss_at_the_threshold_skips_numpy(self, tmp_path):
+        # the bit planes sieve on the standard library
+        loaded = self.miss(tmp_path, ulamkit.engine._BITS_MAX_HORIZON)
+        assert "numpy" not in loaded
+
+    def test_miss_above_the_threshold_loads_numpy(self, tmp_path):
+        loaded = self.miss(tmp_path, ulamkit.engine._BITS_MAX_HORIZON + 1)
+        assert loaded["numpy"] is True
+
+
+# The benchmark's family sweep: U(1, n) checked on [1, 30n - 1], mined from
+# n = 6, 7, 8, verified near n = 1000 and swept up to n = 161.
+FAMILY_SEGMENTS = ["--seg-c", "30", "--seg-d", "-1"]
+MINE_ARGV = ["mine", "--modulus", "1", "--residue", "0", "--samples",
+             "6,7,8", *FAMILY_SEGMENTS, "--format", "json"]
+
+
+@pytest.fixture(scope="module")
+def mined_code():
+    proc = run_module(*MINE_ARGV)
+    assert proc.returncode == 0 and proc.stderr == ""
+    return json.dumps(json.loads(proc.stdout)["code"])
+
+
+@pytest.mark.parametrize("command", ["mine", "verify-pattern", "sweep"])
+def test_family_sweep_commands_skip_numpy(tmp_path, mined_code, command):
+    argv = {
+        "mine": MINE_ARGV,
+        "verify-pattern": ["verify-pattern", "--a", "1", "--b", "1005",
+                           "--code", mined_code, "--lo", "1",
+                           "--hi", str(30 * 1005 - 1)],
+        "sweep": ["sweep", "--code", mined_code, "--modulus", "1",
+                  "--residue", "0", "--n-from", "155", "--n-to", "161",
+                  *FAMILY_SEGMENTS],
+    }[command]
+    proc, loaded = probe(tmp_path, *argv)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert 30 * 1005 - 1 <= ulamkit.engine._BITS_MAX_HORIZON
+    assert "numpy" not in loaded
 
 
 SWEEP_ARGV = ["sweep", "--code", json.dumps({

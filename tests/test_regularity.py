@@ -380,6 +380,23 @@ class TestAgainstReplacedCode:
             p, modulus, residue)
 
     @given(st.sampled_from(ORACLE_PAIRS), st.integers(0, 3000),
+           st.integers(1, 40), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_residue_censuses_in_one_pass(self, pair, horizon, modulus, data):
+        # every class at once, or some classes repeated, as one class at a
+        # time and as the numpy census
+        residues = data.draw(st.lists(st.integers(0, modulus - 1)))
+        p = prefix(*pair, max(horizon, pair[1]))
+        for chosen in (range(modulus), residues):
+            got = regularity.residue_censuses(p, modulus, chosen)
+            assert got == [regularity.residue_census(p, modulus, r)
+                           for r in chosen]
+            assert got == [regularity.Census(*vector_residue_census(
+                p, modulus, r)) for r in chosen]
+        with pytest.raises(InvalidParameters):
+            regularity.residue_censuses(p, modulus, [*residues, modulus])
+
+    @given(st.sampled_from(ORACLE_PAIRS), st.integers(0, 3000),
            st.integers(1, 40))
     @settings(max_examples=150, deadline=None)
     def test_lower_density_bound(self, pair, horizon, B):
