@@ -11,9 +11,10 @@ summing to it are smaller. Extension runs the same sieve, seeded with the
 stored terms, which add only their sums above the old horizon.
 
 Two kernels hold the counts, chosen by horizon. Up to _BITS_MAX_HORIZON
-they are two Python-int bit planes, "at least one" and "at least two", and
-nothing imports numpy. Above it they are a byte table that numpy adds
-slices into, which is faster once numpy's import is paid for.
+they are two Python-int bit planes, "at least one" and "at least two",
+indexed from a base that trails the scan, and nothing imports numpy. Above
+it they are a byte table that numpy adds slices into, which is faster once
+numpy's import is paid for.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import HorizonTooLarge, InsufficientHorizon, InvalidParameters
@@ -31,24 +31,55 @@ if TYPE_CHECKING:
 
 # Default resource guard. Above _BITS_MAX_HORIZON a sieve to horizon H holds
 # two (H+1)-byte tables and 8 bytes per term: about 2 bytes per integer,
-# 100 MB at this limit. Below it each bit plane takes H/8 bytes, and each
-# term found about 40 bytes until the sieve returns.
+# 100 MB at this limit. Below it each bit plane takes at most H/8 bytes
+# (16 kB at 2^17), and each term found about 40 bytes until the sieve
+# returns.
 MAX_HORIZON_DEFAULT = 50_000_000
 
 # The largest horizon sieved on bit planes: the largest power of two at
-# which they beat the byte tables plus numpy's import for every measured
-# pair (README, "Performance").
-_BITS_MAX_HORIZON = 1 << 16
+# which they beat the byte tables plus numpy's import in fresh processes for
+# every pair that scripts/kernel_threshold.py measures (README,
+# "Performance"; BENCH_kernels.json).
+_BITS_MAX_HORIZON = 1 << 17
 
 # Values are validated against this so every int64 pair sum stays exact.
 _VALUE_LIMIT = 1 << 62
 
 
-@dataclass(frozen=True)
 class UlamParams:
-    a: int
-    b: int
-    coprime: bool
+    """The seeds a < b and whether they are coprime. Instances are immutable
+    and compare, hash and print by their three fields."""
+
+    __slots__ = ("a", "b", "coprime")
+
+    def __init__(self, a: int, b: int, coprime: bool):
+        set_ = object.__setattr__
+        set_(self, "a", a)
+        set_(self, "b", b)
+        set_(self, "coprime", coprime)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"UlamParams is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"UlamParams is immutable; cannot delete {name!r}")
+
+    def _fields(self) -> tuple:
+        return self.a, self.b, self.coprime
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"UlamParams(a={self.a!r}, b={self.b!r}, coprime={self.coprime!r})"
+
+    def __reduce__(self):
+        return UlamParams, self._fields()
 
 
 def validate_params(a: int, b: int) -> UlamParams:
@@ -199,15 +230,22 @@ def _sieve(params: UlamParams, known: bytes, known_horizon: int,
 # Plane positions the next-term search reads before it XORs whole planes.
 _WINDOW = (1 << 64) - 1
 
+# How far the scan may run past the planes' base before both planes are
+# shifted down to it. Shifting a plane costs several times an `&` or `|` of
+# it, so the planes move once per this many bits, not once per term.
+_REBASE_BITS = 4096
+
 
 def _bit_sieve(known: bytes, known_horizon: int, horizon: int) -> bytes:
     """The terms up to horizon as int64 bytes, with Python ints as bit sets.
 
-    Bit p of the planes `one` and `two` says that scan + p has at least one
-    and at least two representations; positions below scan are decided and
-    shifted out. g holds f shifted down by 1 (bit v - 1 for the term v >= 1),
-    so a term x found at scan - 1 adds the sums x + v at g itself, and none
-    below x + a, as g has no bit below a - 1.
+    Bit p of the planes `one` and `two` says that base + p has at least one
+    and at least two representations. Positions below the scan are decided;
+    base trails the scan by `off` bits, and the planes drop the decided
+    positions only when off exceeds _REBASE_BITS. g holds f shifted down by 1
+    (bit v - 1 for the term v >= 1), so the term x = base + off - 1 adds the
+    sums x + v at g shifted up by off, and none below x + a, as g has no bit
+    below a - 1.
     """
     terms = memoryview(known).cast("q")
     j = _seed_end(terms, known_horizon)
@@ -216,30 +254,37 @@ def _bit_sieve(known: bytes, known_horizon: int, horizon: int) -> bytes:
         seed[(t - 1) >> 3] |= 1 << ((t - 1) & 7)
     g = int.from_bytes(seed, "little")
     prev = terms[j - 1]
-    scan = known_horizon + 1
-    top = (1 << (horizon - known_horizon)) - 1  # positions up to horizon
+    base = known_horizon + 1
     one = two = 0
+    # Known terms with sums above known_horizon lie below base, so their
+    # sums land at g shifted down.
+    for x in terms[j:]:
+        sums = g if x + prev <= horizon else g & ((1 << (horizon - x)) - 1)
+        sums >>= base - x - 1
+        two |= one & sums
+        one |= sums
+        g |= 1 << (x - 1)
+        prev = x
+    window, rebase = _WINDOW, _REBASE_BITS
+    off = 0
     found = []
     while True:
-        if j < len(terms):
-            x = terms[j]
-            j += 1
-            sums = g >> (scan - x - 1)
-        else:
-            # two is a subset of one, so one ^ two is "exactly one"
-            exactly_one = (one & _WINDOW) ^ (two & _WINDOW) or one ^ two
-            if not exactly_one:
-                break
-            k = (exactly_one & -exactly_one).bit_length()
-            x = scan + k - 1
-            one >>= k
-            two >>= k
-            top >>= k
-            scan = x + 1
-            found.append(x)
-            sums = g
-        if x + prev > horizon:
-            sums &= top
+        if off > rebase:
+            one >>= off
+            two >>= off
+            base += off
+            off = 0
+        # two is a subset of one, so one ^ two is "exactly one"; bits below
+        # off are decided and are masked out
+        mask = window << off
+        exactly_one = (one & mask) ^ (two & mask) or (one ^ two) >> off << off
+        if not exactly_one:
+            break
+        off = (exactly_one & -exactly_one).bit_length()
+        x = base + off - 1
+        found.append(x)
+        sums = g if x + prev <= horizon else g & ((1 << (horizon - x)) - 1)
+        sums <<= off
         two |= one & sums
         one |= sums
         g |= 1 << (x - 1)

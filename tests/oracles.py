@@ -9,11 +9,12 @@ import json
 import re
 import struct
 import zlib
+from array import array
 from fractions import Fraction
 
 import numpy as np
 
-from ulamkit.engine import UlamPrefix, validate_params
+from ulamkit.engine import UlamPrefix, _seed_end, validate_params
 from ulamkit.errors import CorruptCache, InvalidParameters, VersionMismatch
 from ulamkit.regularity import PeriodicityCandidate
 
@@ -98,6 +99,52 @@ def _scatter_run(known, counts, scan_pos, horizon):
         counts[hit + terms[:cut]] += 1
         n_terms += 1
         scan_pos = hit + 1
+
+
+def shifting_bit_sieve(known, known_horizon, horizon):
+    """The engine's bit-plane kernel before its planes trailed the scan.
+
+    Same contract as `engine._bit_sieve`: int64 bytes of the terms up to
+    horizon, from the known terms up to known_horizon. Bit p of `one` and
+    `two` is scan + p, so every admitted term shifts both planes (and the
+    horizon mask `top`) down to the new scan.
+    """
+    terms = memoryview(known).cast("q")
+    j = _seed_end(terms, known_horizon)
+    seed = bytearray(((known_horizon - 1) >> 3) + 1)
+    for t in terms[:j]:
+        seed[(t - 1) >> 3] |= 1 << ((t - 1) & 7)
+    g = int.from_bytes(seed, "little")
+    prev = terms[j - 1]
+    scan = known_horizon + 1
+    top = (1 << (horizon - known_horizon)) - 1
+    window = (1 << 64) - 1
+    one = two = 0
+    found = []
+    while True:
+        if j < len(terms):
+            x = terms[j]
+            j += 1
+            sums = g >> (scan - x - 1)
+        else:
+            exactly_one = (one & window) ^ (two & window) or one ^ two
+            if not exactly_one:
+                break
+            k = (exactly_one & -exactly_one).bit_length()
+            x = scan + k - 1
+            one >>= k
+            two >>= k
+            top >>= k
+            scan = x + 1
+            found.append(x)
+            sums = g
+        if x + prev > horizon:
+            sums &= top
+        two |= one & sums
+        one |= sums
+        g |= 1 << (x - 1)
+        prev = x
+    return known + array("q", found).tobytes()
 
 
 def rep_table(terms, horizon):

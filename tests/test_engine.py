@@ -1,4 +1,10 @@
 
+import importlib.util
+import json
+import pickle
+from array import array
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -8,7 +14,7 @@ from ulamkit import engine
 from ulamkit.errors import HorizonTooLarge, InsufficientHorizon, InvalidParameters
 
 from oracles import (naive_rep_count, naive_ulam, rep_table, scatter_extend,
-                     scatter_generate)
+                     scatter_generate, shifting_bit_sieve)
 
 U12_PREFIX = [1, 2, 3, 4, 6, 8, 11, 13, 16, 18, 26, 28]
 # frozen from the brute-force oracle
@@ -31,6 +37,20 @@ class TestValidateParams:
             engine.validate_params(5, 2)
         with pytest.raises(InvalidParameters):
             engine.validate_params(0, 2)
+
+    def test_params_are_an_immutable_value(self):
+        # as the frozen dataclass it replaced: equality, hash and repr by
+        # the three fields, no assignment, and a pickle round trip
+        p = params(2, 4)
+        assert p == engine.UlamParams(a=2, b=4, coprime=False)
+        assert p != params(1, 2) and p != (2, 4, False)
+        assert hash(p) == hash((2, 4, False))
+        assert repr(p) == "UlamParams(a=2, b=4, coprime=False)"
+        with pytest.raises(AttributeError):
+            p.a = 3
+        with pytest.raises(AttributeError):
+            del p.b
+        assert pickle.loads(pickle.dumps(p)) == p
 
     def test_rejects_non_ints(self):
         with pytest.raises(InvalidParameters):
@@ -298,6 +318,82 @@ def test_extend_matches_scatter_oracle(each_kernel, pair, horizon, data):
     assert got == {"byte": want, "bit": want}
 
 
+# Rebase distances: after every term, after 64 bits (the search window), and
+# the engine's own.
+REBASES = st.sampled_from([0, 64, engine._REBASE_BITS])
+
+
+def assert_bit_kernels_agree(a, b, h0, horizon):
+    """The bit kernel completes the terms up to h0 (the seeds when h0 == b)
+    to horizon exactly as the shifting-planes kernel it replaced and the
+    scatter oracles do."""
+    known = scatter_generate(a, b, h0)
+    want = scatter_generate(a, b, horizon)
+    if h0 > b:
+        assert scatter_extend(known, h0, horizon) == want
+    known = array("q", known).tobytes()
+    got = engine._bit_sieve(known, h0, horizon)
+    assert got == shifting_bit_sieve(known, h0, horizon)
+    assert memoryview(got).cast("q").tolist() == want
+
+
+@settings(PATCHES_THRESHOLD, max_examples=40)
+@example(pair=(1, 2), horizon=20_000, start=0, rebase=64)
+@given(pair=WIDE_PAIRS, horizon=st.integers(3, 20_000),
+       start=st.integers(0, 20_000), rebase=REBASES)
+def test_bit_kernel_rebases(monkeypatch, pair, horizon, start, rebase):
+    a, b = pair
+    horizon = max(horizon, b + 1)
+    monkeypatch.setattr(engine, "_REBASE_BITS", rebase)
+    assert_bit_kernels_agree(a, b, b + start % (horizon - b), horizon)
+
+
+@settings(PATCHES_THRESHOLD, max_examples=25)
+@given(n=st.integers(66, 300), factor=st.integers(8, 40),
+       start=st.integers(0, 600), rebase=REBASES)
+def test_bit_kernel_gaps_wider_than_the_window(monkeypatch, n, factor, start,
+                                               rebase):
+    # U(1, n) has gaps near 2n between found terms, so the next term lies
+    # past the 64-bit search window and is read from whole planes
+    horizon, h0 = factor * n, n + start % (2 * n)
+    terms = scatter_generate(1, n, horizon)
+    assert any(y - max(x, h0) > 64 for x, y in zip(terms, terms[1:]) if y > h0)
+    monkeypatch.setattr(engine, "_REBASE_BITS", rebase)
+    assert_bit_kernels_agree(1, n, h0, horizon)
+
+
+@settings(PATCHES_THRESHOLD, max_examples=30)
+@example(pair=(1, 2), index=5, span=100, rebase=0)
+@given(pair=WIDE_PAIRS, index=st.integers(1, 200), span=st.integers(1, 3000),
+       rebase=REBASES)
+def test_bit_kernel_extends_from_a_term(monkeypatch, pair, index, span,
+                                        rebase):
+    # The known horizon is a term t, so the seeded terms up to t, whose
+    # sums reach past t, lie below the base t + 1; t itself shifts by 0.
+    a, b = pair
+    terms = scatter_generate(a, b, 4000)
+    h0 = terms[min(index, len(terms) - 1)]
+    monkeypatch.setattr(engine, "_REBASE_BITS", rebase)
+    assert_bit_kernels_agree(a, b, h0, h0 + span)
+
+
+@settings(PATCHES_THRESHOLD, max_examples=40)
+@given(pair=WIDE_PAIRS, index=st.integers(1, 300),
+       shift=st.sampled_from([-1, 0, 1]), start=st.integers(0, 6000),
+       rebase=REBASES)
+def test_bit_kernel_sums_at_the_horizon(monkeypatch, pair, index, shift,
+                                        start, rebase):
+    # x + prev for consecutive terms lands at horizon - 1, horizon or
+    # horizon + 1, on either side of the horizon mask; x is found or, when
+    # h0 >= x, seeded
+    a, b = pair
+    terms = scatter_generate(a, b, 3000)
+    i = min(index, len(terms) - 1)
+    horizon = max(terms[i] + terms[i - 1] + shift, b + 1)
+    monkeypatch.setattr(engine, "_REBASE_BITS", rebase)
+    assert_bit_kernels_agree(a, b, b + start % (horizon - b), horizon)
+
+
 @pytest.mark.parametrize("a, b, horizon", [(1, 2, 200_000), (2, 5, 50_000)])
 def test_long_prefix_matches_scatter_oracle(a, b, horizon):
     got = engine.generate_to_horizon(params(a, b), horizon).term_list()
@@ -349,6 +445,19 @@ def test_count_doubling_across_the_kernel_threshold(a, b):
     want = scatter_generate(a, b, p.horizon)
     assert p.term_list() == want
     assert p.term_list()[:500] == naive_ulam(a, b, want[499])
+
+
+def test_threshold_is_the_recorded_crossover():
+    # _BITS_MAX_HORIZON is what scripts/kernel_threshold.py derives from the
+    # kernel timings it recorded in BENCH_kernels.json
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "kernel_threshold", root / "scripts" / "kernel_threshold.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    record = json.loads((root / "BENCH_kernels.json").read_text())
+    assert script.threshold(record["rows"]) == record["threshold"]
+    assert record["threshold"] == engine._BITS_MAX_HORIZON
 
 
 @settings(deadline=None, max_examples=40)

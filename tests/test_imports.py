@@ -41,7 +41,8 @@ HOMES = {
 }
 ANALYSIS_LAYERS = ["mining", "patterns", "progressions", "regularity",
                    "rigidity"]
-HEAVY_STDLIB = ["concurrent.futures", "csv", "fractions", "hashlib"]
+HEAVY_STDLIB = ["concurrent.futures", "csv", "dataclasses", "fractions",
+                "hashlib"]
 
 # Runs `ulamkit.cli` as `python -m` does, then records, for the modules the
 # command added to sys.modules, whether each one's body has run. A lazy
@@ -121,6 +122,7 @@ CACHED_COMMANDS = {
     "cache-info": ["cache", "info"],
     "member": ["member", "--a", "1", "--b", "2", "--m", "1000"],
     "count": ["count", "--a", "1", "--b", "2", "--n", "3000"],
+    "nth": ["nth", "--a", "1", "--b", "2", "--k", "100"],
     "density": ["density", "--a", "1", "--b", "2", "--n", "2500"],
     "gaps": ["gaps", "--a", "2", "--b", "5", "--horizon", "2000"],
     "census": ["census", "--a", "1", "--b", "2", "--horizon", "3000",
@@ -135,6 +137,9 @@ CACHED_COMMANDS = {
     "verify-pattern": ["verify-pattern", "--a", "2", "--b", "5", "--code",
                        CODE_25, "--lo", "1", "--hi", "2000"],
 }
+# The commands above that run no analysis layer, and so no dataclass.
+ENGINE_COMMANDS = {"version", "cache-info", "member", "count", "nth",
+                   "density"}
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +155,8 @@ def cache_dir(tmp_path_factory):
 class TestNumpyOnlyToSieve:
     """Only the byte kernel imports numpy: a command served from the cache
     never loads it, nor does a sieve up to the bit-plane threshold; a sieve
-    above it does."""
+    above it does. Commands that use only the engine and the cache load no
+    `dataclasses` either."""
 
     @pytest.mark.parametrize("name", sorted(CACHED_COMMANDS))
     def test_cached_command_skips_numpy(self, tmp_path, cache_dir, name):
@@ -160,6 +166,8 @@ class TestNumpyOnlyToSieve:
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         assert proc.stdout
         assert "numpy" not in loaded
+        if name in ENGINE_COMMANDS:
+            assert "dataclasses" not in loaded
         # served without writing: the cache is as the fixture left it
         assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == before
 
@@ -175,6 +183,7 @@ class TestNumpyOnlyToSieve:
         # the bit planes sieve on the standard library
         loaded = self.miss(tmp_path, ulamkit.engine._BITS_MAX_HORIZON)
         assert "numpy" not in loaded
+        assert "dataclasses" not in loaded
 
     def test_miss_above_the_threshold_loads_numpy(self, tmp_path):
         loaded = self.miss(tmp_path, ulamkit.engine._BITS_MAX_HORIZON + 1)
