@@ -43,12 +43,12 @@ def _cell(v):
     return v
 
 
-def _emit(args, obj: dict, text: str, fields=None, rows=()) -> None:
-    """Write obj as JSON, the text, or the CSV table of fields and rows
-    (obj's keys and values by default), rendering only the chosen format."""
-    if args.format == "json":
-        rendered = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
-    elif args.format == "csv":
+def _render(fmt: str, obj: dict, text: str, fields=None, rows=()) -> str:
+    """obj as JSON, the text, or the CSV table of fields and rows (obj's
+    keys and values by default)."""
+    if fmt == "json":
+        return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    if fmt == "csv":
         import csv
 
         if fields is None:
@@ -58,13 +58,24 @@ def _emit(args, obj: dict, text: str, fields=None, rows=()) -> None:
         writer.writerow(fields)
         for row in rows:
             writer.writerow(_cell(v) for v in row)
-        rendered = buf.getvalue()
-    else:
-        rendered = text if text.endswith("\n") else text + "\n"
+        return buf.getvalue()
+    return text if text.endswith("\n") else text + "\n"
+
+
+def _emit(args, obj: dict, text: str, fields=None, rows=()) -> None:
+    """Write the chosen format of _render to --out or stdout."""
+    rendered = _render(args.format, obj, text, fields, rows)
     if args.out:
         atomic_write_text(args.out, rendered)
     else:
         sys.stdout.write(rendered)
+
+
+def _write_jsonl(path: str | None, objs) -> None:
+    """Write one compact JSON object per line to path, when one is given."""
+    if path:
+        atomic_write_text(path, "".join(
+            json.dumps(o, separators=(",", ":")) + "\n" for o in objs))
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +111,14 @@ def _load_code(source: str):
 
 
 def _int_list(text: str, flag: str) -> list[int]:
+    """The integers of a comma-separated list, which must hold at least one."""
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
+        values = []
+    if not values:
         raise InvalidParameters(f"{flag} expects a comma-separated integer list")
+    return values
 
 
 def _fraction(text: str, flag: str):
@@ -302,26 +317,29 @@ def cmd_sweep(args) -> int:
         code, args.modulus, args.residue, ns, (args.seg_c, args.seg_d),
         a=args.base_a, override_applicability=args.override_applicability,
         store=_store(args))
-    rigidity.write_sweep_reports(entries, jsonl_path=args.report_jsonl,
-                                 csv_path=args.report_csv)
     obj = {"code": patterns.code_id(code), "modulus": args.modulus,
            "residue": args.residue,
            "entries": [rigidity.entry_obj(e) for e in entries]}
-    lines = []
-    bad = False
+    lines, rows = [], []
     for e in entries:
-        if e.error is not None:
-            bad = True
+        r = e.report
+        if r is None:
             lines.append(f"n={e.n}: error: {e.error}")
-        elif e.report.agrees:
-            lines.append(f"n={e.n}: agrees on [{e.report.N}, {e.report.M}]")
-        else:
-            bad = True
-            m, direction = e.report.first_mismatch
-            lines.append(f"n={e.n}: mismatch at {m} ({direction})")
-    _emit(args, obj, "\n".join(lines) if lines else "no qualifying n",
-          rigidity.SWEEP_FIELDS, rigidity.sweep_rows(entries))
-    if bad and args.expect_agree:
+            rows.append((e.n, None, None, None, None, e.error))
+            continue
+        m, direction = r.first_mismatch or (None, None)
+        lines.append(f"n={e.n}: agrees on [{r.N}, {r.M}]" if r.agrees
+                     else f"n={e.n}: mismatch at {m} ({direction})")
+        rows.append((e.n, r.N, r.M, r.agrees, m, None))
+    text = "\n".join(lines) if lines else "no qualifying n"
+    fields = ("n", "range_lo", "range_hi", "agrees", "first_mismatch", "error")
+    _write_jsonl(args.report_jsonl, obj["entries"])
+    if args.report_csv:
+        atomic_write_text(args.report_csv,
+                          _render("csv", obj, text, fields, rows))
+    _emit(args, obj, text, fields, rows)
+    if args.expect_agree and not all(e.report and e.report.agrees
+                                     for e in entries):
         return EXIT_REFUTED
     return EXIT_OK
 
@@ -351,10 +369,10 @@ def cmd_mine(args) -> int:
                                     (args.seg_c, args.seg_d), holdout=holdout,
                                     store=_store(args), log=log)
     except (AlignmentFailure, FitFailure) as exc:
-        _write_mine_log(args, log)
+        _write_jsonl(args.log, log)
         print(f"mining failed: {exc}", file=sys.stderr)
         return EXIT_REFUTED
-    _write_mine_log(args, log)
+    _write_jsonl(args.log, log)
     obj = {"code": json.loads(patterns.encode(code)),
            "code_id": patterns.code_id(code), "samples": ns,
            "holdout": [rigidity.report_obj(r) for r in reports]}
@@ -370,12 +388,6 @@ def cmd_mine(args) -> int:
     if args.expect_agree and any(not r.agrees for r in reports):
         return EXIT_REFUTED
     return EXIT_OK
-
-
-def _write_mine_log(args, events) -> None:
-    if args.log:
-        atomic_write_text(args.log, "".join(
-            json.dumps(e, separators=(",", ":")) + "\n" for e in events))
 
 
 def _decomposition_for(args):

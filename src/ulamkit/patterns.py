@@ -150,14 +150,20 @@ def component_points(comp: PatternComponent, a: int, b: int,
     return out
 
 
+def _point_set(code: PatternCode, a: int, b: int, lo: int | None = None,
+               hi: int | None = None) -> set[int]:
+    """The union of component_points over the code's components."""
+    points: set[int] = set()
+    for comp in code.components:
+        points.update(component_points(comp, a, b, lo=lo, hi=hi))
+    return points
+
+
 def pattern_set(code: PatternCode, a: int, b: int) -> list[int]:
     """Sorted list of all points of a fully bounded code at (a, b)."""
     if code.has_unbounded:
         raise UnboundedPattern("pattern_set requires every component bounded")
-    points = set()
-    for comp in code.components:
-        points.update(component_points(comp, a, b))
-    return sorted(points)
+    return sorted(_point_set(code, a, b))
 
 
 def b_max(code: PatternCode, a: int, b: int) -> int | None:

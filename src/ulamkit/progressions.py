@@ -23,7 +23,7 @@ from fractions import Fraction
 from .engine import UlamParams, UlamPrefix, require_analysis_grade
 from .errors import StaleCandidate
 from .patterns import PatternCode, PatternComponent
-from .regularity import PeriodicityCandidate, candidate_matches_prefix
+from .regularity import PeriodicityCandidate, _candidate_fault
 
 
 @dataclass(frozen=True)
@@ -38,35 +38,23 @@ def ap_decomposition(prefix: UlamPrefix, candidate: PeriodicityCandidate,
                      allow_non_coprime: bool = False) -> APDecomposition:
     """Split the prefix into initial terms plus p progressions of difference G.
 
-    The candidate must reproduce the prefix tail exactly, and its next
-    predicted term must land beyond the horizon (otherwise the periodic
-    model claims a member inside the region the prefix already decided
-    empty, and the candidate is stale).
+    The candidate must pass candidate_matches_prefix, the check that
+    hierarchy_report applies to R2: it reproduces the prefix tail exactly,
+    and its next predicted term lands beyond the horizon. Otherwise the
+    periodic model contradicts what the prefix decided, and StaleCandidate
+    says how.
     """
     require_analysis_grade(prefix.params, allow_non_coprime)
-    if not candidate_matches_prefix(prefix, candidate):
-        raise StaleCandidate(
-            f"candidate (N={candidate.N}, p={candidate.p}) does not "
-            f"reproduce the prefix tail"
-        )
-    terms = prefix.ints
-    N, p = candidate.N, candidate.p
-    last_index = len(prefix) - 1
-    next_gap = candidate.period_gaps[(last_index - N) % p]
-    predicted_next = terms[-1] + next_gap
-    if predicted_next <= prefix.horizon:
-        raise StaleCandidate(
-            f"periodic model predicts a member at {predicted_next} inside "
-            f"the decided-empty region up to horizon {prefix.horizon}"
-        )
-    u_N = terms[N]
-    firsts = [u_N + sum(candidate.period_gaps[:r]) for r in range(p)]
-    assert firsts == terms[N:N + p].tolist()
+    fault = _candidate_fault(prefix, candidate)
+    if fault is not None:
+        raise StaleCandidate(fault)
+    terms, N = prefix.ints, candidate.N
     return APDecomposition(
         params=prefix.params,
         candidate=candidate,
         initial_set=tuple(terms[:N].tolist()),
-        progressions=tuple((first, candidate.G) for first in firsts),
+        progressions=tuple((first, candidate.G)
+                           for first in terms[N:N + candidate.p].tolist()),
     )
 
 

@@ -153,19 +153,33 @@ def detect_period(gap_list, min_periods: int = 3,
     return None
 
 
-def candidate_matches_prefix(prefix: UlamPrefix,
-                             candidate: PeriodicityCandidate) -> bool:
-    """Whether the candidate's periodic tail reproduces the prefix exactly.
+def _candidate_fault(prefix: UlamPrefix,
+                     candidate: PeriodicityCandidate) -> str | None:
+    """Why the prefix refutes the candidate, or None when it does not.
 
-    Checks that the stored period equals the gaps at the threshold and that
-    every later gap continues it.
+    The stored period must equal the gaps at the threshold, every later gap
+    must continue it, and the next term it predicts must lie above the
+    horizon, where the prefix has decided nothing.
     """
     terms = prefix.ints[candidate.N:]
     tail = list(map(sub, terms[1:], terms))
     period = list(candidate.period_gaps)
-    if len(tail) < candidate.p or tail[:candidate.p] != period:
-        return False
-    return tail == (period * (len(tail) // candidate.p + 1))[:len(tail)]
+    if (len(tail) < candidate.p or tail[:candidate.p] != period
+            or tail != (period * (len(tail) // candidate.p + 1))[:len(tail)]):
+        return (f"candidate (N={candidate.N}, p={candidate.p}) does not "
+                f"reproduce the prefix tail")
+    predicted_next = terms[-1] + period[len(tail) % candidate.p]
+    if predicted_next <= prefix.horizon:
+        return (f"periodic model predicts a member at {predicted_next} inside "
+                f"the decided-empty region up to horizon {prefix.horizon}")
+    return None
+
+
+def candidate_matches_prefix(prefix: UlamPrefix,
+                             candidate: PeriodicityCandidate) -> bool:
+    """Whether the candidate's periodic tail reproduces the prefix exactly
+    and predicts no member in the decided region past the last term."""
+    return _candidate_fault(prefix, candidate) is None
 
 
 def density_from_period(candidate: PeriodicityCandidate) -> Fraction:
@@ -266,29 +280,6 @@ def evens_census(prefix: UlamPrefix, allow_non_coprime: bool = False) -> Census:
     return residue_census(prefix, 2, 0, allow_non_coprime)
 
 
-def _lower_bound_holds(prefix: UlamPrefix, B: int) -> bool:
-    """The integer lower-density bound B*C(n) >= n - a + 1 on [a, horizon].
-
-    C is constant between terms and the right side grows, so only n =
-    t_i - 1, where C(n) = i, and n = horizon can fail first.
-    """
-    a, terms = prefix.params.a, prefix.ints
-    return (all(B * i >= t - a for i, t in enumerate(terms))
-            and B * len(terms) >= prefix.horizon - a + 1)
-
-
-def _check_implications(statuses: dict) -> None:
-    implied = {"R1": ["R2"], "R2": ["R3", "R4"], "R3": ["R5"]}
-    for stronger, weaker_list in implied.items():
-        if statuses[stronger] == VERIFIED:
-            for weaker in weaker_list:
-                if statuses[weaker] == REFUTED:
-                    raise AssertionError(
-                        f"inconsistent hierarchy: {stronger} verified "
-                        f"but {weaker} refuted"
-                    )
-
-
 def hierarchy_report(params: UlamParams, code: PatternCode | None,
                      candidate: PeriodicityCandidate | None,
                      prefix: UlamPrefix,
@@ -298,11 +289,15 @@ def hierarchy_report(params: UlamParams, code: PatternCode | None,
 
     R1 strong pattern rigidity: a threshold below which mismatches stop,
     searched over the prefix (clipped to the code's largest endpoint when
-    bounded). R2 gap periodicity: the supplied or detected candidate.
-    R3 bounded gaps: maximum gap stability (no new maximum in the second
-    half of the gap list). R4 density existence and R5 positive lower
-    density: witnessed by the candidate's exact tail density and the
-    integer bound max_gap * C(n) >= n - a + 1 respectively.
+    bounded). R2 gap periodicity: the supplied candidate, or a detected one
+    when it is absent or stale; either must pass candidate_matches_prefix.
+    R4 density existence: that candidate's exact tail density. R3 bounded
+    gaps: the largest gap B sets no new record in the second half of the
+    gap list, and the open gap after the last term, at least H + 1 - t_last,
+    does not exceed it (H - t_last < B). R5 positive lower density follows
+    from R3 with witness 1/B, since t_i <= a + i*B gives B*C(n) >= n - a + 1
+    on [a, H] for a prefix starting at a; else from R4. Only R1 can be
+    refuted.
     """
     require_analysis_grade(params, allow_non_coprime)
     if prefix.params != params:
@@ -324,35 +319,30 @@ def hierarchy_report(params: UlamParams, code: PatternCode | None,
             witnesses["r1_threshold"] = threshold
 
     gap_list = gaps(prefix)
-    if candidate is not None and not candidate_matches_prefix(prefix, candidate):
-        candidate = None  # stale witness; fall back to fresh detection
-    if candidate is None:
-        candidate = detect_period(gap_list)
-    if candidate is not None:
+    if candidate is None or not candidate_matches_prefix(prefix, candidate):
+        candidate = detect_period(gap_list)  # a stale witness is replaced
+    if candidate is not None and candidate_matches_prefix(prefix, candidate):
         statuses["R2"] = VERIFIED
         witnesses["r2_candidate"] = candidate
 
     B = max(gap_list)
     half = len(gap_list) // 2
-    # stability heuristic: the second half sets no new gap record
-    if len(gap_list) >= 4 and max(gap_list[half:]) <= max(gap_list[:half]):
+    # stability heuristic: the second half, open gap included, sets no new
+    # gap record
+    if (len(gap_list) >= 4 and max(gap_list[half:]) <= max(gap_list[:half])
+            and prefix.horizon - prefix.ints[-1] < B):
         statuses["R3"] = VERIFIED
         witnesses["r3_gap_bound"] = B
 
-    if candidate is not None:
-        d = density_from_period(candidate)
+    if statuses["R2"] == VERIFIED:
         statuses["R4"] = VERIFIED
-        witnesses["r4_density"] = d
+        witnesses["r4_density"] = density_from_period(candidate)
 
     if statuses["R3"] == VERIFIED:
-        if _lower_bound_holds(prefix, B):
-            statuses["R5"] = VERIFIED
-            witnesses["r5_lower_bound"] = Fraction(1, B)
-        else:
-            statuses["R5"] = REFUTED
+        statuses["R5"] = VERIFIED
+        witnesses["r5_lower_bound"] = Fraction(1, B)
     elif statuses["R4"] == VERIFIED:
         statuses["R5"] = VERIFIED
         witnesses["r5_lower_bound"] = witnesses["r4_density"]
 
-    _check_implications(statuses)
     return HierarchyReport(statuses, witnesses)

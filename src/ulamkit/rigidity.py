@@ -7,17 +7,13 @@ mismatch records the least offending integer and which side claimed it.
 
 from __future__ import annotations
 
-import io
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .cache import PrefixStore
 from .engine import UlamParams, UlamPrefix, _source, validate_params
 from .errors import ApplicabilityError, UlamkitError
-from .fsutil import atomic_write_text
-from .patterns import (PatternCode, _check_residue_class, code_id,
-                       component_points)
+from .patterns import PatternCode, _check_residue_class, _point_set, code_id
 
 IN_ULAM_NOT_PATTERN = "in-ulam-not-pattern"
 IN_PATTERN_NOT_ULAM = "in-pattern-not-ulam"
@@ -56,11 +52,8 @@ def _mismatches(code: PatternCode, prefix: UlamPrefix, lo: int,
     """The members in [lo, hi], and the integers there on exactly one side."""
     terms = prefix.ints
     members = set(terms[bisect_left(terms, lo):bisect_right(terms, hi)])
-    pattern: set[int] = set()
-    for comp in code.components:
-        pattern.update(component_points(comp, prefix.params.a,
-                                        prefix.params.b, lo=lo, hi=hi))
-    return members, members ^ pattern
+    return members, members ^ _point_set(code, prefix.params.a,
+                                         prefix.params.b, lo, hi)
 
 
 def verify_segment(code: PatternCode, params: UlamParams, N: int, M: int,
@@ -157,43 +150,3 @@ def entry_obj(entry: SweepEntry) -> dict:
         "report": None if entry.report is None else report_obj(entry.report),
         "error": entry.error,
     }
-
-
-def sweep_jsonl(entries) -> str:
-    """One JSON object per line, in entry order."""
-    return "".join(json.dumps(entry_obj(e), separators=(",", ":")) + "\n"
-                   for e in entries)
-
-
-SWEEP_FIELDS = ("n", "range_lo", "range_hi", "agrees", "first_mismatch",
-                "error")
-
-
-def sweep_rows(entries):
-    """One SWEEP_FIELDS row per entry, "" for an absent cell."""
-    for e in entries:
-        if e.report is None:
-            yield (e.n, "", "", "", "", e.error)
-        else:
-            r = e.report
-            mm = "" if r.first_mismatch is None else r.first_mismatch[0]
-            yield (e.n, r.N, r.M, str(r.agrees).lower(), mm, "")
-
-
-def sweep_csv(entries) -> str:
-    """Summary table: n, range, agrees, first_mismatch."""
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_FIELDS)
-    writer.writerows(sweep_rows(entries))
-    return buf.getvalue()
-
-
-def write_sweep_reports(entries, jsonl_path: str | None = None,
-                        csv_path: str | None = None) -> None:
-    if jsonl_path:
-        atomic_write_text(jsonl_path, sweep_jsonl(entries))
-    if csv_path:
-        atomic_write_text(csv_path, sweep_csv(entries))

@@ -217,6 +217,55 @@ class TestPatternCommands:
         assert code == 1
 
 
+def temporary_files(directory):
+    return [p.name for p in directory.iterdir() if p.name.startswith(".tmp-")]
+
+
+class TestReportFiles:
+    """--report-csv, --report-jsonl and mine --log render what stdout does."""
+
+    SWEEP = ("sweep", "--code", BLOCK_CODE, "--modulus", "1", "--residue",
+             "0", "--n-from", "1", "--n-to", "8", "--seg-c", "4",
+             "--seg-d", "9")
+
+    def test_report_csv_is_the_csv_table(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, out, _ = run(capsys, *self.SWEEP, "--format", "csv",
+                           "--report-csv", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode("utf-8")
+        assert out.splitlines()[:2] == [
+            "n,range_lo,range_hi,agrees,first_mismatch,error",
+            '1,,,,,"need 1 <= a < b, got a=1, b=1"']
+        assert temporary_files(tmp_path) == []
+
+    def test_report_jsonl_lines_are_the_json_entries(self, capsys, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        code, obj = run_json(capsys, *self.SWEEP, "--report-jsonl", str(path))
+        assert code == 0
+        lines = path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == obj["entries"]
+        assert all(line == json.dumps(json.loads(line), separators=(",", ":"))
+                   for line in lines)
+        assert len(lines) == 8
+        assert temporary_files(tmp_path) == []
+
+    @pytest.mark.parametrize("samples, code", [("4,5,6", 0), ("2,4,6", 1)])
+    def test_mine_log_one_event_per_line(self, capsys, tmp_path, samples,
+                                         code):
+        # written on success and on a fit failure alike
+        path = tmp_path / "mine.jsonl"
+        assert run(capsys, "mine", "--modulus", "1", "--residue", "0",
+                   "--samples", samples, "--seg-c", "5", "--seg-d", "-1",
+                   "--log", str(path))[0] == code
+        text = path.read_text()
+        events = [json.loads(line) for line in text.splitlines()]
+        assert text == "".join(json.dumps(e, separators=(",", ":")) + "\n"
+                               for e in events)
+        assert [e["event"] for e in events][:3] == ["sample"] * 3
+        assert temporary_files(tmp_path) == []
+
+
 class TestMineCommand:
     def test_explicit_samples(self, capsys):
         code, obj = run_json(capsys, "mine", "--modulus", "1", "--residue",
@@ -264,6 +313,18 @@ class TestMineCommand:
                            "--seg-d", "-1")
         assert code == 2 and "exceeds" in err
 
+
+    @pytest.mark.parametrize("flags", [
+        ("--samples", ","), ("--samples", " , ,"),
+        ("--samples", "4,5,6", "--holdout", ","),
+        ("--samples", "4,5,6", "--holdout", " , ,"),
+    ])
+    def test_list_without_integers_refused(self, capsys, flags):
+        # an empty --holdout once verified nothing and exited 0
+        assert run(capsys, "mine", "--modulus", "1", "--residue", "0", *flags,
+                   "--seg-c", "5", "--seg-d", "-1", "--expect-agree") == (
+            2, "", f"error: {flags[-2]} expects a comma-separated integer "
+                   "list\n")
 
     @pytest.mark.parametrize("flags", [
         ("--samples", "4,5,6"),

@@ -68,7 +68,9 @@ class TestDecomposition:
                                      tuple(reversed(candidate.period_gaps)),
                                      candidate.G, candidate.periods_observed,
                                      candidate.coverage_fraction)
-        with pytest.raises(StaleCandidate):
+        with pytest.raises(StaleCandidate, match=(
+                rf"^candidate \(N={candidate.N}, p=32\) does not reproduce "
+                r"the prefix tail$")):
             progressions.ap_decomposition(prefix, wrong)
 
     def test_stale_when_model_predicts_into_decided_region(self):
@@ -79,6 +81,22 @@ class TestDecomposition:
         prefix = engine.UlamPrefix(params(4, 7), __import__("numpy").array(terms), 100)
         with pytest.raises(StaleCandidate):
             progressions.ap_decomposition(prefix, cand)
+
+    def test_prediction_at_the_horizon_is_stale(self):
+        # the next predicted member, 16, is decided at horizon 16 and not
+        # at 15; regularity.candidate_matches_prefix draws the same line
+        cand = PeriodicityCandidate(0, 1, (3,), 3, 4, Fraction(1))
+        terms = [4, 7, 10, 13]
+        below = engine.UlamPrefix(params(4, 7), terms, 15)
+        assert progressions.ap_decomposition(below, cand).progressions == (
+            (4, 3),)
+        assert regularity.candidate_matches_prefix(below, cand)
+        at = engine.UlamPrefix(params(4, 7), terms, 16)
+        with pytest.raises(StaleCandidate, match=(
+                r"^periodic model predicts a member at 16 inside the "
+                r"decided-empty region up to horizon 16$")):
+            progressions.ap_decomposition(at, cand)
+        assert not regularity.candidate_matches_prefix(at, cand)
 
 
 class TestMembership:

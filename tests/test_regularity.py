@@ -1,13 +1,14 @@
+import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (naive_detect_period, naive_ulam, reconstruct_term,
                      scan_density_check, scan_lower_density, vector_gaps,
                      vector_residue_census)
-from ulamkit import engine, regularity
+from ulamkit import engine, progressions, regularity
 from ulamkit.errors import InvalidParameters
 from ulamkit.patterns import PatternCode, PatternComponent
 from ulamkit.regularity import REFUTED, UNKNOWN, VERIFIED
@@ -284,6 +285,17 @@ class TestCensus:
             regularity.residue_census(p, 5, 5)
 
 
+# H - t_last = 24 is at least the largest gap 2, and the period-1 tail
+# predicts a member at 7 <= H
+HAND_BUILT = engine.UlamPrefix(params(1, 3), [1, 3, 4, 5, 6], 30)
+# detected candidate (p = 5, G = 20) predicts a member at 88 <= 91
+U13_AT_91 = prefix(1, 3, 91)
+# largest gap 100, but the last term is 18,796
+U12_AT_18898 = prefix(1, 2, 18898)
+# every gap is 2 and so is H - t_last: 2*C(11) = 10 < 11 - 1 + 1
+OPEN_GAP_EQUALS_B = engine.UlamPrefix(params(1, 3), [1, 3, 5, 7, 9], 11)
+
+
 class TestHierarchy:
     def test_u25_all_verified(self):
         p = prefix(2, 5, 4000)
@@ -324,6 +336,36 @@ class TestHierarchy:
         p = prefix(1, 10, 49)
         rep = regularity.hierarchy_report(params(1, 10), code, None, p)
         assert rep.statuses["R1"] == REFUTED
+
+    def test_open_gap_past_the_largest_gap(self):
+        # once refuted R5 and raised AssertionError; the report now grades
+        # nothing, as the stale period-1 tail and the open gap leave no witness
+        rep = regularity.hierarchy_report(params(1, 3), None, None, HAND_BUILT)
+        assert set(rep.statuses.values()) == {UNKNOWN}
+        assert rep.witnesses == {}
+
+    def test_open_gap_must_stay_below_the_largest_gap(self):
+        below = OPEN_GAP_EQUALS_B.restrict(10)
+        rep = regularity.hierarchy_report(params(1, 3), None, None, below)
+        assert rep.statuses["R3"] == rep.statuses["R5"] == VERIFIED
+        assert rep.witnesses["r3_gap_bound"] == 2
+        rep = regularity.hierarchy_report(params(1, 3), None, None,
+                                          OPEN_GAP_EQUALS_B)
+        assert rep.statuses["R3"] == UNKNOWN
+
+    def test_open_gap_sets_a_record(self):
+        rep = regularity.hierarchy_report(params(1, 2), None, None,
+                                          U12_AT_18898)
+        assert max(regularity.gaps(U12_AT_18898)) == 100
+        assert rep.statuses["R3"] == UNKNOWN
+        assert "r3_gap_bound" not in rep.witnesses
+
+    def test_detected_candidate_checked_like_exports(self):
+        candidate = regularity.detect_period(regularity.gaps(U13_AT_91))
+        assert (candidate.p, candidate.G) == (5, 20)
+        assert not regularity.candidate_matches_prefix(U13_AT_91, candidate)
+        rep = regularity.hierarchy_report(params(1, 3), None, None, U13_AT_91)
+        assert rep.statuses["R2"] == rep.statuses["R4"] == UNKNOWN
 
     def test_stale_candidate_ignored(self):
         p = prefix(2, 5, 3000)
@@ -396,25 +438,6 @@ class TestAgainstReplacedCode:
         with pytest.raises(InvalidParameters):
             regularity.residue_censuses(p, modulus, [*residues, modulus])
 
-    @given(st.sampled_from(ORACLE_PAIRS), st.integers(0, 3000),
-           st.integers(1, 40))
-    @settings(max_examples=150, deadline=None)
-    def test_lower_density_bound(self, pair, horizon, B):
-        # B ranges below and above each prefix's largest gap, so the bound
-        # fails as well as holds
-        p = prefix(*pair, max(horizon, pair[1]))
-        assert regularity._lower_bound_holds(p, B) == scan_lower_density(p, B)
-
-    @given(st.sets(st.integers(1, 400), min_size=2, max_size=40),
-           st.integers(0, 300), st.integers(1, 60))
-    @settings(max_examples=150, deadline=None)
-    def test_lower_density_bound_synthetic(self, points, slack, B):
-        # any increasing terms, with a horizon that may run far past the last
-        terms = sorted(points)
-        p = engine.UlamPrefix(params(terms[0], terms[1]), terms,
-                              terms[-1] + slack)
-        assert regularity._lower_bound_holds(p, B) == scan_lower_density(p, B)
-
     @given(st.sampled_from(ORACLE_PAIRS), st.integers(4, 3000))
     @settings(max_examples=40, deadline=None)
     def test_hierarchy_r5(self, pair, horizon):
@@ -425,6 +448,73 @@ class TestAgainstReplacedCode:
             assert scan_lower_density(p, B)
             assert rep.statuses["R5"] == VERIFIED
             assert rep.witnesses["r5_lower_bound"] == Fraction(1, B)
+
+
+@functools.lru_cache(maxsize=None)
+def sieved(pair):
+    return prefix(*pair, 3000)
+
+
+# Any increasing terms, with a horizon that may run far past the last, and
+# restrictions of sieve-built prefixes.
+ANY_PREFIX = st.one_of(
+    st.builds(lambda points, slack: engine.UlamPrefix(
+        params(min(points), sorted(points)[1]), sorted(points),
+        max(points) + slack),
+        st.sets(st.integers(1, 400), min_size=2, max_size=40),
+        st.integers(0, 300)),
+    st.builds(lambda pair, h: sieved(pair).restrict(max(h, pair[1])),
+              st.sampled_from(ORACLE_PAIRS), st.integers(0, 3000)))
+
+
+def report_on(p):
+    return regularity.hierarchy_report(p.params, None, None, p,
+                                       allow_non_coprime=True)
+
+
+def found_examples(test):
+    for p in (HAND_BUILT, U13_AT_91, U12_AT_18898, OPEN_GAP_EQUALS_B):
+        test = example(p)(test)
+    return test
+
+
+class TestHierarchyOnAnyPrefix:
+    """What hierarchy_report grades holds of the prefix it was given."""
+
+    @found_examples
+    @given(ANY_PREFIX)
+    @settings(max_examples=150, deadline=None)
+    def test_never_raises(self, p):
+        assert isinstance(report_on(p), regularity.HierarchyReport)
+
+    @found_examples
+    @given(ANY_PREFIX)
+    @settings(max_examples=150, deadline=None)
+    def test_only_r1_can_be_refuted(self, p):
+        statuses = report_on(p).statuses
+        assert REFUTED not in [statuses[name] for name in ("R2", "R3", "R4",
+                                                           "R5")]
+
+    @found_examples
+    @given(ANY_PREFIX)
+    @settings(max_examples=150, deadline=None)
+    def test_r3_witness_bounds_the_open_gap(self, p):
+        rep = report_on(p)
+        if rep.statuses["R3"] == VERIFIED:
+            B = rep.witnesses["r3_gap_bound"]
+            assert p.horizon - p.ints[-1] < B
+            assert scan_lower_density(p, B)
+            assert rep.witnesses["r5_lower_bound"] == Fraction(1, B)
+
+    @found_examples
+    @given(ANY_PREFIX)
+    @settings(max_examples=150, deadline=None)
+    def test_r2_candidate_passes_ap_decomposition(self, p):
+        rep = report_on(p)
+        if rep.statuses["R2"] == VERIFIED:
+            progressions.ap_decomposition(p, rep.witnesses["r2_candidate"],
+                                          allow_non_coprime=True)
+            assert rep.statuses["R4"] == VERIFIED
 
 
 def density_case(q_num):

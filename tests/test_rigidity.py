@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -131,33 +130,6 @@ class TestFamilySweep:
         entries = rigidity.family_sweep(BLOCK_CODE, 1, 0, [1, 4], (5, -1))
         assert entries[0].report is None and entries[0].error
         assert entries[1].error is None
-
-
-class TestEmission:
-    def test_jsonl_one_object_per_line(self):
-        entries = rigidity.family_sweep(BLOCK_CODE, 1, 0, [4, 5], (5, -1))
-        lines = rigidity.sweep_jsonl(entries).splitlines()
-        assert len(lines) == 2
-        objs = [json.loads(line) for line in lines]
-        assert [o["n"] for o in objs] == [4, 5]
-        assert objs[0]["report"]["M"] == 19
-
-    def test_csv_columns(self):
-        entries = rigidity.family_sweep(BLOCK_CODE, 1, 0, [4, 3], (5, -1))
-        text = rigidity.sweep_csv(entries)
-        lines = text.splitlines()
-        assert lines[0] == "n,range_lo,range_hi,agrees,first_mismatch,error"
-        assert len(lines) == 3
-
-    def test_atomic_write(self, tmp_path):
-        entries = rigidity.family_sweep(BLOCK_CODE, 1, 0, [4], (5, -1))
-        jsonl = tmp_path / "sweep.jsonl"
-        csv_p = tmp_path / "sweep.csv"
-        rigidity.write_sweep_reports(entries, str(jsonl), str(csv_p))
-        assert jsonl.read_text().count("\n") == 1
-        assert csv_p.read_text().startswith("n,")
-        leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
-        assert leftovers == []
 
 
 ORACLE_PAIRS = [(1, 2), (1, 10), (2, 5), (3, 4), (1, 50)]
