@@ -1,5 +1,6 @@
 """A byte-for-byte record of the `ulam` CLI: stdout, stderr, exit code and
-every file a command writes, for each subcommand in text, json and csv.
+every file a command writes, for each subcommand in text, json and csv,
+and the help and usage errors of argparse, wrapped at COLUMNS=80.
 
 The steps run in order in one empty directory, against the relative cache
 directory `cache`, so later steps see the cache that earlier ones left.
@@ -160,6 +161,18 @@ STEPS = [
     ("refuse-samples", (*MINE, "--samples", "4,x", *CACHE)),
     ("refuse-cache-dir", ("cache", "info")),
     ("refuse-cache-pair", ("cache", "info", "--a", "1", *CACHE)),
+    # argparse's own output: help exits 0, a malformed command line 2
+    ("no-command", (), None),
+    ("help", ("--help",), None),
+    ("member-help", ("member", "--help"), None),
+    ("cache-info-help", ("cache", "info", "--help"), None),
+    ("unknown-command", ("frob", "--a", "1"), None),
+    ("missing-option", ("member", "--a", "1", "--b", "2", *CACHE), None),
+    ("missing-action", ("cache",), None),
+    ("option-before-command", ("--format", "json", "member", "--a", "1",
+                               "--b", "2", "--m", "26", *CACHE), None),
+    ("extra-argument", ("member", "--a", "1", "--b", "2", "--m", "26",
+                        "extra", *CACHE), None),
 ]
 
 FORMATS = ("text", "json", "csv")
@@ -190,7 +203,9 @@ def _run(argv) -> tuple[int, str, str]:
 def record(root: Path) -> list[dict]:
     """Run STEPS in root and return one entry per command run."""
     entries, inputs = [], set()
-    saved = os.getcwd(), os.environ.pop("ULAM_CACHE_DIR", None)
+    saved = (os.getcwd(), os.environ.pop("ULAM_CACHE_DIR", None),
+             os.environ.get("COLUMNS"))
+    os.environ["COLUMNS"] = "80"  # the width argparse wraps help text to
     os.chdir(root)
     try:
         for step in STEPS:
@@ -221,6 +236,10 @@ def record(root: Path) -> list[dict]:
         os.chdir(saved[0])
         if saved[1] is not None:
             os.environ["ULAM_CACHE_DIR"] = saved[1]
+        if saved[2] is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved[2]
     return entries
 
 
