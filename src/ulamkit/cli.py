@@ -260,7 +260,7 @@ def cmd_density_check(args) -> int:
 
 def cmd_census(args) -> int:
     params = _analysis_params(args)
-    patterns._check_residue_class(args.modulus,
+    engine._check_residue_class(args.modulus,
                                   0 if args.residue is None else args.residue)
     prefix = _store(args).get(params, args.horizon)
     residues = ([args.residue] if args.residue is not None
@@ -309,7 +309,7 @@ def cmd_verify_pattern(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    patterns._check_residue_class(args.modulus, args.residue)
+    engine._check_residue_class(args.modulus, args.residue)
     code = _load_code(args.code)
     ns = [n for n in range(args.n_from, args.n_to + 1)
           if n % args.modulus == args.residue]
@@ -353,7 +353,7 @@ def cmd_mine(args) -> int:
         if args.n_from is None or args.n_to is None or args.sample_count is None:
             raise InvalidParameters(
                 "mine needs --samples or all of --n-from/--n-to/--sample-count")
-        patterns._check_residue_class(args.modulus, args.residue)
+        engine._check_residue_class(args.modulus, args.residue)
         qualifying = [n for n in range(args.n_from, args.n_to + 1)
                       if n % args.modulus == args.residue and n >= 2]
         if args.sample_count > len(qualifying):
@@ -482,183 +482,151 @@ def cmd_cache_info(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _pair_args(p):
-    p.add_argument("--a", type=int, required=True,
-                   help="smaller starting term")
-    p.add_argument("--b", type=int, required=True,
-                   help="larger starting term")
+# Arguments are (flag, add_argument keywords); a None flag marks a required
+# choice of one of the arguments listed in place of the keywords. _INT is a
+# required integer.
+_INT = {"type": int, "required": True}
+_PATH = {"metavar": "PATH"}
+_PAIR = (("--a", {**_INT, "help": "smaller starting term"}),
+         ("--b", {**_INT, "help": "larger starting term"}))
+_PERIOD = (
+    ("--horizon", _INT),
+    ("--min-periods", {"type": int, "default": 3,
+                       "help": "full periods the tail must span (default 3)"}),
+    ("--min-coverage", {"default": "1/2", "help":
+                        "least fraction of gaps in the tail (default 1/2)"}))
+_GLOBAL = (
+    ("--threads", {"type": int, "default": 1,
+                   "help": "accepted and ignored; sweeps run in one thread"}),
+    ("--cache-dir", {"help":
+                     "prefix cache directory (default: $ULAM_CACHE_DIR)"}),
+    ("--format", {"choices": ("text", "json", "csv"), "default": "text",
+                  "help": "output format (default text)"}),
+    ("--seed", {"type": int, "default": 0,
+                "help": "RNG seed for sampled mining (default 0)"}),
+    ("--override-applicability", {"action": "store_true", "help":
+                                  "evaluate a code outside its claimed "
+                                  "residue class"}),
+    ("--expect-agree", {"action": "store_true", "help":
+                        "exit 1 when the analysis result is negative"}),
+    ("--allow-non-coprime", {"action": "store_true", "help":
+                             "run analyses on degenerate non-coprime pairs"}),
+    ("--out", {**_PATH, "help":
+               "write output atomically to PATH instead of stdout"}))
+
+# name -> (help, arguments, handler); a table in place of the handler makes
+# a group whose actions are named next ("cache info").
+COMMANDS = {
+    "generate": ("list terms up to a horizon or count", (*_PAIR, (None, (
+        ("--horizon", {"type": int, "help": "largest value to decide"}),
+        ("--count", {"type": int, "help": "number of terms to produce"})))),
+        cmd_generate),
+    "member": ("decide membership of one value", (*_PAIR, ("--m", _INT)),
+               cmd_member),
+    "nth": ("the k-th term (1-based)", (*_PAIR, ("--k", _INT)), cmd_nth),
+    "count": ("counting function C(n) = |U ∩ [0, n]|",
+              (*_PAIR, ("--n", _INT)), cmd_count),
+    "gaps": ("successive differences up to a horizon",
+             (*_PAIR, ("--horizon", _INT)), cmd_gaps),
+    "detect-period": ("search for an eventually periodic gap tail",
+                      (*_PAIR, *_PERIOD), cmd_detect_period),
+    "density": ("empirical density C(n)/(n+1)", (*_PAIR, ("--n", _INT)),
+                cmd_density),
+    "density-check": ("scan the density inequality over a range of n", (
+        *_PAIR,
+        ("--q", {"required": True,
+                 "help": "target ratio as a rational, e.g. 1/2"}),
+        ("--k", _INT), ("--n-from", {"type": int, "default": 1}),
+        ("--n-max", _INT)), cmd_density_check),
+    "census": ("terms per residue class, with tail evidence", (
+        *_PAIR, ("--horizon", _INT), ("--modulus", _INT),
+        ("--residue", {"type": int,
+                       "help": "one class only (default: all classes)"})),
+        cmd_census),
+    "verify-pattern": ("compare membership with a pattern code on a range", (
+        *_PAIR,
+        ("--code", {"required": True,
+                    "help": "pattern code JSON, or @FILE to read it"}),
+        ("--lo", _INT), ("--hi", _INT)), cmd_verify_pattern),
+    "sweep": ("verify one code across a family U(a, n)", (
+        ("--code", {"required": True}), ("--modulus", _INT),
+        ("--residue", _INT), ("--n-from", _INT), ("--n-to", _INT),
+        ("--seg-c", {**_INT,
+                     "help": "verify on [1, c*n + d]: the c coefficient"}),
+        ("--seg-d", {**_INT, "help": "verify on [1, c*n + d]: the d offset"}),
+        ("--base-a", {"type": int, "default": 1,
+                      "help": "first parameter of each pair (default 1)"}),
+        ("--report-jsonl", {**_PATH, "help":
+                            "also write one JSON object per n to PATH"}),
+        ("--report-csv", {**_PATH,
+                          "help": "also write a CSV summary to PATH"})),
+        cmd_sweep),
+    "mine": ("fit a linear interval pattern to U(1, n) samples", (
+        ("--modulus", _INT), ("--residue", _INT),
+        ("--samples", {"help": "explicit comma-separated n values"}),
+        ("--n-from", {"type": int}), ("--n-to", {"type": int}),
+        ("--sample-count", {"type": int, "help":
+                            "sample this many n from [--n-from, --n-to] "
+                            "(--seed)"}),
+        ("--seg-c", _INT), ("--seg-d", _INT),
+        ("--holdout", {"help":
+                       "comma-separated verification n (default: next 2)"}),
+        ("--log", {**_PATH,
+                   "help": "write the mining session log as JSON lines"})),
+        cmd_mine),
+    "export-ap": ("initial set + arithmetic progressions of the tail",
+                  (*_PAIR, *_PERIOD), cmd_export_ap),
+    "export-presburger": ("membership formula of the decided set",
+                          (*_PAIR, *_PERIOD), cmd_export_presburger),
+    "cache": ("cache maintenance", (), {
+        "info": ("describe cache files",
+                 (("--a", {"type": int}), ("--b", {"type": int})),
+                 cmd_cache_info)}),
+}
 
 
-def _period_args(p):
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--min-periods", type=int, default=3,
-                   help="full periods the tail must span (default 3)")
-    p.add_argument("--min-coverage", default="1/2",
-                   help="least fraction of gaps in the tail (default 1/2)")
+def _add_arguments(parser, arguments) -> None:
+    for flag, options in arguments:
+        if flag is None:
+            _add_arguments(parser.add_mutually_exclusive_group(required=True),
+                           options)
+        else:
+            parser.add_argument(flag, **options)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_commands(parser, table: dict, common, metavar: str) -> None:
+    sub = parser.add_subparsers(dest=metavar, required=True, metavar=metavar)
+    for name, (help_text, arguments, handler) in table.items():
+        if isinstance(handler, dict):
+            _add_commands(sub.add_parser(name, help=help_text), handler,
+                          common, "action")
+            continue
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        _add_arguments(p, arguments)
+        p.set_defaults(func=handler)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `ulam` parser: with every command, or with `command` alone."""
     common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("global options")
-    g.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored; sweeps run in one thread")
-    g.add_argument("--cache-dir", default=None,
-                   help="prefix cache directory (default: $ULAM_CACHE_DIR)")
-    g.add_argument("--format", choices=("text", "json", "csv"),
-                   default="text", help="output format (default text)")
-    g.add_argument("--seed", type=int, default=0,
-                   help="RNG seed for sampled mining (default 0)")
-    g.add_argument("--override-applicability", action="store_true",
-                   help="evaluate a code outside its claimed residue class")
-    g.add_argument("--expect-agree", action="store_true",
-                   help="exit 1 when the analysis result is negative")
-    g.add_argument("--allow-non-coprime", action="store_true",
-                   help="run analyses on degenerate non-coprime pairs")
-    g.add_argument("--out", default=None, metavar="PATH",
-                   help="write output atomically to PATH instead of stdout")
-
+    _add_arguments(common.add_argument_group("global options"), _GLOBAL)
     parser = argparse.ArgumentParser(
         prog="ulam",
         description="Ulam sequence computation and pattern analysis.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="command")
-
-    p = sub.add_parser("generate", parents=[common],
-                       help="list terms up to a horizon or count")
-    _pair_args(p)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--horizon", type=int, help="largest value to decide")
-    group.add_argument("--count", type=int, help="number of terms to produce")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("member", parents=[common],
-                       help="decide membership of one value")
-    _pair_args(p)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_member)
-
-    p = sub.add_parser("nth", parents=[common], help="the k-th term (1-based)")
-    _pair_args(p)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_nth)
-
-    p = sub.add_parser("count", parents=[common],
-                       help="counting function C(n) = |U ∩ [0, n]|")
-    _pair_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("gaps", parents=[common],
-                       help="successive differences up to a horizon")
-    _pair_args(p)
-    p.add_argument("--horizon", type=int, required=True)
-    p.set_defaults(func=cmd_gaps)
-
-    p = sub.add_parser("detect-period", parents=[common],
-                       help="search for an eventually periodic gap tail")
-    _pair_args(p)
-    _period_args(p)
-    p.set_defaults(func=cmd_detect_period)
-
-    p = sub.add_parser("density", parents=[common],
-                       help="empirical density C(n)/(n+1)")
-    _pair_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("density-check", parents=[common],
-                       help="scan the density inequality over a range of n")
-    _pair_args(p)
-    p.add_argument("--q", required=True,
-                   help="target ratio as a rational, e.g. 1/2")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-from", type=int, default=1)
-    p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(func=cmd_density_check)
-
-    p = sub.add_parser("census", parents=[common],
-                       help="terms per residue class, with tail evidence")
-    _pair_args(p)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--residue", type=int, default=None,
-                   help="one class only (default: all classes)")
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("verify-pattern", parents=[common],
-                       help="compare membership with a pattern code on a range")
-    _pair_args(p)
-    p.add_argument("--code", required=True,
-                   help="pattern code JSON, or @FILE to read it")
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-    p.set_defaults(func=cmd_verify_pattern)
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="verify one code across a family U(a, n)")
-    p.add_argument("--code", required=True)
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--residue", type=int, required=True)
-    p.add_argument("--n-from", type=int, required=True)
-    p.add_argument("--n-to", type=int, required=True)
-    p.add_argument("--seg-c", type=int, required=True,
-                   help="verify on [1, c*n + d]: the c coefficient")
-    p.add_argument("--seg-d", type=int, required=True,
-                   help="verify on [1, c*n + d]: the d offset")
-    p.add_argument("--base-a", type=int, default=1,
-                   help="first parameter of each pair (default 1)")
-    p.add_argument("--report-jsonl", default=None, metavar="PATH",
-                   help="also write one JSON object per n to PATH")
-    p.add_argument("--report-csv", default=None, metavar="PATH",
-                   help="also write a CSV summary to PATH")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("mine", parents=[common],
-                       help="fit a linear interval pattern to U(1, n) samples")
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--residue", type=int, required=True)
-    p.add_argument("--samples", default=None,
-                   help="explicit comma-separated n values")
-    p.add_argument("--n-from", type=int, default=None)
-    p.add_argument("--n-to", type=int, default=None)
-    p.add_argument("--sample-count", type=int, default=None,
-                   help="sample this many n from [--n-from, --n-to] (--seed)")
-    p.add_argument("--seg-c", type=int, required=True)
-    p.add_argument("--seg-d", type=int, required=True)
-    p.add_argument("--holdout", default=None,
-                   help="comma-separated verification n (default: next 2)")
-    p.add_argument("--log", default=None, metavar="PATH",
-                   help="write the mining session log as JSON lines")
-    p.set_defaults(func=cmd_mine)
-
-    p = sub.add_parser("export-ap", parents=[common],
-                       help="initial set + arithmetic progressions of the tail")
-    _pair_args(p)
-    _period_args(p)
-    p.set_defaults(func=cmd_export_ap)
-
-    p = sub.add_parser("export-presburger", parents=[common],
-                       help="membership formula of the decided set")
-    _pair_args(p)
-    _period_args(p)
-    p.set_defaults(func=cmd_export_presburger)
-
-    p = sub.add_parser("cache", help="cache maintenance")
-    cache_sub = p.add_subparsers(dest="cache_command", required=True,
-                                 metavar="action")
-    ci = cache_sub.add_parser("info", parents=[common],
-                              help="describe cache files")
-    ci.add_argument("--a", type=int, default=None)
-    ci.add_argument("--b", type=int, default=None)
-    ci.set_defaults(func=cmd_cache_info)
-
+    _add_commands(parser, COMMANDS if command is None
+                  else {command: COMMANDS[command]}, common, "command")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A command line that starts with a command parses the same with that
+    # command's subparser alone. The rest (help, --version, no or an unknown
+    # command) may print the list of commands, so it gets them all.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except UlamkitError as exc:

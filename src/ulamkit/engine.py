@@ -46,40 +46,75 @@ _BITS_MAX_HORIZON = 1 << 17
 _VALUE_LIMIT = 1 << 62
 
 
-class UlamParams:
-    """The seeds a < b and whether they are coprime. Instances are immutable
-    and compare, hash and print by their three fields."""
+class _Record:
+    """An immutable value whose fields are the names in its __slots__.
 
-    __slots__ = ("a", "b", "coprime")
+    Fields are given by position or keyword; `_defaults` holds the values of
+    the last fields. `__post_init__` may check them and normalize them with
+    object.__setattr__. Instances compare, hash, print, pickle and match by
+    their fields, as frozen dataclasses do, without importing `dataclasses`.
+    """
 
-    def __init__(self, a: int, b: int, coprime: bool):
-        set_ = object.__setattr__
-        set_(self, "a", a)
-        set_(self, "b", b)
-        set_(self, "coprime", coprime)
+    __slots__ = ()
+    _defaults = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        cls._default_of = dict(zip(cls.__slots__[::-1], cls._defaults[::-1]))
+
+    def __init__(self, *args, **kwargs):
+        names, rest = self.__slots__, self.__slots__[len(args):]
+        if len(args) > len(names) or not kwargs.keys() <= set(rest):
+            raise TypeError(f"{type(self).__name__}() takes the fields "
+                            f"{', '.join(names)}, each once")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in rest:
+            if name in kwargs:
+                value = kwargs[name]
+            elif name in self._default_of:
+                value = self._default_of[name]
+            else:
+                raise TypeError(
+                    f"{type(self).__name__}() needs the field {name!r}")
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"UlamParams is immutable; cannot set {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable; "
+                             f"cannot set {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"UlamParams is immutable; cannot delete {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable; "
+                             f"cannot delete {name!r}")
 
-    def _fields(self) -> tuple:
-        return self.a, self.b, self.coprime
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._values())
 
     def __repr__(self) -> str:
-        return f"UlamParams(a={self.a!r}, b={self.b!r}, coprime={self.coprime!r})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return UlamParams, self._fields()
+        return type(self), self._values()
+
+
+class UlamParams(_Record):
+    """The seeds a < b and whether they are coprime."""
+
+    __slots__ = ("a", "b", "coprime")
 
 
 def validate_params(a: int, b: int) -> UlamParams:
@@ -95,6 +130,24 @@ def validate_params(a: int, b: int) -> UlamParams:
     if b > _VALUE_LIMIT:
         raise InvalidParameters("b exceeds the 64-bit working range")
     return UlamParams(a, b, math.gcd(a, b) == 1)
+
+
+def _class_fault(modulus: int, residue: int) -> str | None:
+    """Why (modulus, residue) is no residue class, or None when it is one."""
+    if modulus < 1:
+        return f"modulus must be >= 1, got {modulus}"
+    if not 0 <= residue < modulus:
+        return f"residue {residue} outside [0, {modulus - 1}]"
+    return None
+
+
+def _check_residue_class(modulus: int, residue: int) -> None:
+    """Refuse anything but integers with 0 <= residue < modulus."""
+    if not isinstance(modulus, int) or not isinstance(residue, int):
+        raise InvalidParameters("modulus and residue must be integers")
+    fault = _class_fault(modulus, residue)
+    if fault is not None:
+        raise InvalidParameters(fault)
 
 
 def _int64_bytes(terms) -> bytes:

@@ -10,30 +10,28 @@ failure, never a silent drop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .cache import PrefixStore
-from .engine import _source, validate_params
+from .engine import _check_residue_class, _Record, _source, validate_params
 from .errors import AlignmentFailure, FitFailure, InvalidParameters
-from .patterns import (Applicability, PatternCode, PatternComponent,
-                       _check_residue_class)
+from .patterns import Applicability, PatternCode, PatternComponent
 from .rigidity import SegmentReport, verify_segment
 
-
-@dataclass(frozen=True)
-class RunDecomposition:
-    n: int
-    runs: tuple  # ((lo, hi), ...) disjoint, sorted, maximal
+if TYPE_CHECKING:
+    from .cache import PrefixStore
 
 
-@dataclass(frozen=True)
-class MinedComponent:
-    slope_lo: int
-    intercept_lo: int
-    slope_hi: int
-    intercept_hi: int
-    verified_on: tuple
-    misaligned_on: tuple
+class RunDecomposition(_Record):
+    """n, and the runs ((lo, hi), ...): disjoint, sorted, maximal."""
+
+    __slots__ = ("n", "runs")
+
+
+class MinedComponent(_Record):
+    """Fitted endpoint lines, and the sample n they hit and miss."""
+
+    __slots__ = ("slope_lo", "intercept_lo", "slope_hi", "intercept_hi",
+                 "verified_on", "misaligned_on")
 
 
 def runs(values) -> tuple:

@@ -16,25 +16,19 @@ to one congruence class.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .errors import (InvalidParameters, PatternParseError,
-                     PatternSemanticError, UnboundedPattern)
+from .engine import _class_fault, _Record
+from .errors import PatternParseError, PatternSemanticError, UnboundedPattern
 
 _COMPONENT_KEYS = ("A1", "A2", "B1", "B2", "p", "q", "L", "S", "unbounded")
 
 
-@dataclass(frozen=True)
-class PatternComponent:
-    A1: int = 0
-    A2: int = 0
-    B1: int = 0
-    B2: int = 0
-    p: int = 0
-    q: int = 0
-    L: int = 1
-    S: frozenset = frozenset({0})
-    unbounded: bool = False
+class PatternComponent(_Record):
+    """Integer endpoint coefficients, the mask period L and its set S, and
+    whether the component is unbounded above."""
+
+    __slots__ = _COMPONENT_KEYS
+    _defaults = (0, 0, 0, 0, 0, 0, 1, frozenset({0}), False)
 
     def __post_init__(self):
         S = frozenset(int(s) for s in self.S)
@@ -53,28 +47,8 @@ class PatternComponent:
             object.__setattr__(self, "q", 0)
 
 
-def _class_fault(modulus: int, residue: int) -> str | None:
-    """Why (modulus, residue) is no residue class, or None when it is one."""
-    if modulus < 1:
-        return f"modulus must be >= 1, got {modulus}"
-    if not 0 <= residue < modulus:
-        return f"residue {residue} outside [0, {modulus - 1}]"
-    return None
-
-
-def _check_residue_class(modulus: int, residue: int) -> None:
-    """Refuse anything but integers with 0 <= residue < modulus."""
-    if not isinstance(modulus, int) or not isinstance(residue, int):
-        raise InvalidParameters("modulus and residue must be integers")
-    fault = _class_fault(modulus, residue)
-    if fault is not None:
-        raise InvalidParameters(fault)
-
-
-@dataclass(frozen=True)
-class Applicability:
-    modulus: int
-    residue: int
+class Applicability(_Record):
+    __slots__ = ("modulus", "residue")
 
     def __post_init__(self):
         fault = _class_fault(self.modulus, self.residue)
@@ -85,10 +59,11 @@ class Applicability:
         return b % self.modulus == self.residue
 
 
-@dataclass(frozen=True)
-class PatternCode:
-    components: tuple = ()
-    applicability: Applicability | None = None
+class PatternCode(_Record):
+    """A tuple of components, and an Applicability or None."""
+
+    __slots__ = ("components", "applicability")
+    _defaults = ((), None)
 
     def __post_init__(self):
         comps = tuple(self.components)

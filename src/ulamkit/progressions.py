@@ -17,21 +17,22 @@ they certify agreement with a computed prefix, nothing beyond it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .engine import UlamParams, UlamPrefix, require_analysis_grade
+from .engine import UlamPrefix, _Record, require_analysis_grade
 from .errors import StaleCandidate
-from .patterns import PatternCode, PatternComponent
 from .regularity import PeriodicityCandidate, _candidate_fault
 
+if TYPE_CHECKING:
+    from .patterns import PatternCode
 
-@dataclass(frozen=True)
-class APDecomposition:
-    params: UlamParams
-    candidate: PeriodicityCandidate
-    initial_set: tuple
-    progressions: tuple  # ((first, diff), ...) with one shared diff
+
+class APDecomposition(_Record):
+    """The pair, its candidate, the initial set and the progressions
+    ((first, diff), ...), which share one diff."""
+
+    __slots__ = ("params", "candidate", "initial_set", "progressions")
 
 
 def ap_decomposition(prefix: UlamPrefix, candidate: PeriodicityCandidate,
@@ -80,6 +81,8 @@ def ap_to_pattern_code(decomp: APDecomposition,
                        horizon: int | None = None) -> PatternCode:
     """Equivalent pattern code: singletons plus one masked component per
     progression (period G, single residue), bounded at horizon when given."""
+    from .patterns import PatternCode, PatternComponent
+
     comps = [PatternComponent(p=v, q=v) for v in sorted(decomp.initial_set)]
     for first, diff in decomp.progressions:
         if horizon is None:

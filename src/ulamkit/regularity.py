@@ -12,63 +12,49 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import mod, sub
+from typing import TYPE_CHECKING
 
-from . import rigidity
-from .cache import PrefixStore
-from .engine import (UlamParams, UlamPrefix, _source, count_upto,
-                     require_analysis_grade)
+from .engine import (UlamParams, UlamPrefix, _check_residue_class, _Record,
+                     _source, count_upto, require_analysis_grade)
 from .errors import InvalidParameters
-from .patterns import PatternCode, _check_residue_class, b_max
+
+if TYPE_CHECKING:
+    from .cache import PrefixStore
+    from .patterns import PatternCode
 
 VERIFIED = "verified-on-prefix"
 REFUTED = "refuted-on-prefix"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class PeriodicityCandidate:
+class PeriodicityCandidate(_Record):
     """Evidence that gaps g_k repeat with period p for all k >= N (0-based).
 
     G is the sum of one period; periods_observed counts full periods in the
     observed tail and coverage_fraction its share of the whole gap list.
     """
 
-    N: int
-    p: int
-    period_gaps: tuple
-    G: int
-    periods_observed: int
-    coverage_fraction: Fraction
+    __slots__ = ("N", "p", "period_gaps", "G", "periods_observed",
+                 "coverage_fraction")
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
-    n: int
-    count: int
-    ratio: Fraction
+class DensityEstimate(_Record):
+    __slots__ = ("n", "count", "ratio")
 
 
-@dataclass(frozen=True)
-class DensityCheckResult:
-    holds: bool
-    first_violation: int | None
+class DensityCheckResult(_Record):
+    __slots__ = ("holds", "first_violation")
 
 
-@dataclass(frozen=True)
-class Census:
-    count: int
-    largest: int | None
-    tail_from: int | None
+class Census(_Record):
+    __slots__ = ("count", "largest", "tail_from")
 
 
-@dataclass(frozen=True)
-class HierarchyReport:
-    statuses: dict
-    witnesses: dict
+class HierarchyReport(_Record):
+    __slots__ = ("statuses", "witnesses")
 
 
 def gaps(prefix: UlamPrefix) -> list[int]:
@@ -295,19 +281,27 @@ def hierarchy_report(params: UlamParams, code: PatternCode | None,
     gaps: the largest gap B sets no new record in the second half of the
     gap list, and the open gap after the last term, at least H + 1 - t_last,
     does not exceed it (H - t_last < B). R5 positive lower density follows
-    from R3 with witness 1/B, since t_i <= a + i*B gives B*C(n) >= n - a + 1
-    on [a, H] for a prefix starting at a; else from R4. Only R1 can be
-    refuted.
+    from R3 with witness 1/B: as t_0 = a, t_i <= a + i*B gives
+    B*C(n) >= n - a + 1 on [a, H]. Else it follows from R4. Only R1 can be
+    refuted. A prefix whose terms do not start with a, b raises
+    InvalidParameters.
     """
     require_analysis_grade(params, allow_non_coprime)
     if prefix.params != params:
         raise InvalidParameters(
             f"prefix is of U({prefix.params.a},{prefix.params.b}), "
             f"not U({params.a},{params.b})")
+    if prefix.ints[:2].tolist() != [params.a, params.b]:
+        raise InvalidParameters(
+            f"prefix terms must start with a={params.a}, b={params.b}, "
+            f"got {prefix.ints[:2].tolist()}")
     statuses = {name: UNKNOWN for name in ("R1", "R2", "R3", "R4", "R5")}
     witnesses: dict = {}
 
     if code is not None:
+        from . import rigidity
+        from .patterns import b_max
+
         bm = b_max(code, params.a, params.b)
         M = prefix.horizon if bm is None else min(prefix.horizon, bm)
         rigidity._check_applicability(code, params, override_applicability)

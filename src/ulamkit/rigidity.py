@@ -8,34 +8,32 @@ mismatch records the least offending integer and which side claimed it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .cache import PrefixStore
-from .engine import UlamParams, UlamPrefix, _source, validate_params
+from .engine import (UlamParams, UlamPrefix, _check_residue_class, _Record,
+                     _source, validate_params)
 from .errors import ApplicabilityError, UlamkitError
-from .patterns import PatternCode, _check_residue_class, _point_set, code_id
+from .patterns import PatternCode, _point_set, code_id
+
+if TYPE_CHECKING:
+    from .cache import PrefixStore
 
 IN_ULAM_NOT_PATTERN = "in-ulam-not-pattern"
 IN_PATTERN_NOT_ULAM = "in-pattern-not-ulam"
 
 
-@dataclass(frozen=True)
-class SegmentReport:
-    a: int
-    b: int
-    code: str
-    N: int
-    M: int
-    agrees: bool
-    first_mismatch: tuple[int, str] | None
-    matched_count: int
+class SegmentReport(_Record):
+    """The pair, the code's id, the range [N, M], whether they agree on it,
+    the first mismatch (m, direction) or None, and the positions matched."""
+
+    __slots__ = ("a", "b", "code", "N", "M", "agrees", "first_mismatch",
+                 "matched_count")
 
 
-@dataclass(frozen=True)
-class SweepEntry:
-    n: int
-    report: SegmentReport | None
-    error: str | None
+class SweepEntry(_Record):
+    """n, and the SegmentReport of U(a, n) or the error that stopped it."""
+
+    __slots__ = ("n", "report", "error")
 
 
 def _check_applicability(code: PatternCode, params: UlamParams,

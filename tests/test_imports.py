@@ -137,9 +137,10 @@ CACHED_COMMANDS = {
     "verify-pattern": ["verify-pattern", "--a", "2", "--b", "5", "--code",
                        CODE_25, "--lo", "1", "--hi", "2000"],
 }
-# The commands above that run no analysis layer, and so no dataclass.
-ENGINE_COMMANDS = {"version", "cache-info", "member", "count", "nth",
-                   "density"}
+# The commands above whose analysis uses no pattern code.
+PATTERN_FREE_COMMANDS = {"detect-period", "gaps", "census", "density-check"}
+# What `dataclasses` imports; the records are slotted classes instead.
+DATACLASS_MODULES = {"dataclasses", "inspect"}
 
 
 @pytest.fixture(scope="module")
@@ -155,8 +156,8 @@ def cache_dir(tmp_path_factory):
 class TestNumpyOnlyToSieve:
     """Only the byte kernel imports numpy: a command served from the cache
     never loads it, nor does a sieve up to the bit-plane threshold; a sieve
-    above it does. Commands that use only the engine and the cache load no
-    `dataclasses` either."""
+    above it does. No command loads `dataclasses`, and the analysis
+    commands that use no pattern code leave the pattern layers unloaded."""
 
     @pytest.mark.parametrize("name", sorted(CACHED_COMMANDS))
     def test_cached_command_skips_numpy(self, tmp_path, cache_dir, name):
@@ -166,8 +167,11 @@ class TestNumpyOnlyToSieve:
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         assert proc.stdout
         assert "numpy" not in loaded
-        if name in ENGINE_COMMANDS:
-            assert "dataclasses" not in loaded
+        assert DATACLASS_MODULES.isdisjoint(loaded)
+        if name in PATTERN_FREE_COMMANDS:
+            assert loaded["ulamkit.regularity"] is True
+            assert loaded["ulamkit.patterns"] is False
+            assert loaded["ulamkit.rigidity"] is False
         # served without writing: the cache is as the fixture left it
         assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == before
 
@@ -219,6 +223,7 @@ def test_family_sweep_commands_skip_numpy(tmp_path, mined_code, command):
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert 30 * 1005 - 1 <= ulamkit.engine._BITS_MAX_HORIZON
     assert "numpy" not in loaded
+    assert DATACLASS_MODULES.isdisjoint(loaded)
 
 
 SWEEP_ARGV = ["sweep", "--code", json.dumps({

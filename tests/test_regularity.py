@@ -313,6 +313,17 @@ class TestHierarchy:
             regularity.hierarchy_report(params(1, 2), None, None,
                                         prefix(2, 5, 3000))
 
+    @pytest.mark.parametrize("terms", [[10, 11, 12, 13, 14], [1, 4, 5, 6, 7],
+                                       [3, 4, 5]])
+    def test_terms_must_start_with_the_seeds(self, terms):
+        # R5 follows from R3 only when t_0 = a: the first of these prefixes
+        # once got R2-R5 verified, R5 with 1/1, though 1*C(1) = 0 < 1
+        p = engine.UlamPrefix(params(1, 3), terms, terms[-1])
+        assert not scan_lower_density(p, 1)
+        with pytest.raises(InvalidParameters,
+                           match=r"must start with a=1, b=3, got \["):
+            regularity.hierarchy_report(params(1, 3), None, None, p)
+
     def test_growing_gaps_not_certified(self):
         # very short prefix of a pair whose record gap lands late
         p = prefix(1, 2, 28)
