@@ -128,8 +128,8 @@ def measure(base: Path | None, runs: int) -> dict:
                 print(f"{mode}: round {rnd + 1} of {runs} done",
                       file=sys.stderr)
             rows = []
-            for name, argv in table.items():
-                row = {"command": name, "argv": argv and argv[:1]}
+            for name in table:
+                row = {"command": name}
                 for side in sides:
                     row[side] = quartiles(times[name, side])
                 if "base" in sides:
