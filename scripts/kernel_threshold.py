@@ -6,7 +6,7 @@ the bit planes beat `import numpy` plus the byte tables in fresh processes
 for every pair measured: a `ulam` command that sieves pays numpy's import
 only on the byte side.
 
-For U(1,2), U(1,3), U(2,5), U(1,1000) and U(1,5000) at 2^14 to 2^18 this
+For U(1,2), U(1,3), U(2,5), U(1,1000) and U(1,5000) at 2^14 to 2^20 this
 script times, in fresh interpreters run alternately, `engine._byte_sieve`
 (which imports numpy) against `engine._bit_sieve` (the interpreter and
 `ulamkit` start-up, equal on both sides, are left out), and, in this process
@@ -16,7 +16,7 @@ README table (ms, byte / bit, the faster fresh side in bold):
 
     python3 scripts/kernel_threshold.py [--runs 5] [--out BENCH_kernels.json]
 
-It takes a few minutes on a 2-vCPU host, most of it in the 2^18 sieves.
+It takes about ten minutes on a 2-vCPU host, most of it in the 2^20 sieves.
 """
 
 import argparse
@@ -34,7 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 PAIRS = [(1, 2), (1, 3), (2, 5), (1, 1000), (1, 5000)]
-HORIZONS = [1 << e for e in range(14, 19)]
+HORIZONS = [1 << e for e in range(14, 21)]
 KERNELS = ("byte", "bit")
 
 # One sieve from the seeds in a fresh interpreter; prints its seconds.

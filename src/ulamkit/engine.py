@@ -12,9 +12,12 @@ stored terms, which add only their sums above the old horizon.
 
 Two kernels hold the counts, chosen by horizon. Up to _BITS_MAX_HORIZON
 they are two Python-int bit planes, "at least one" and "at least two",
-indexed from a base that trails the scan, and nothing imports numpy. Above
-it they are a byte table that numpy adds slices into, which is faster once
-numpy's import is paid for.
+indexed from a base that trails the scan, and nothing imports numpy. A term
+above H/2 pairs only with terms below H/2, so from the first term whose sum
+with the one before it passes H the indicator stops growing, and each term
+adds a fixed cut of it instead. Above the threshold the counts are a byte
+table that numpy adds slices into, which is faster once numpy's import is
+paid for.
 """
 
 from __future__ import annotations
@@ -31,16 +34,16 @@ if TYPE_CHECKING:
 
 # Default resource guard. Above _BITS_MAX_HORIZON a sieve to horizon H holds
 # two (H+1)-byte tables and 8 bytes per term: about 2 bytes per integer,
-# 100 MB at this limit. Below it each bit plane takes at most H/8 bytes
-# (16 kB at 2^17), and each term found about 40 bytes until the sieve
-# returns.
+# 100 MB at this limit. Up to it each bit plane takes at most H/16 bytes
+# plus 1 kB, the indicator g and its cut `low` about H/16 bytes each (16 kB
+# at 2^18), and each term found about 40 bytes until the sieve returns.
 MAX_HORIZON_DEFAULT = 50_000_000
 
 # The largest horizon sieved on bit planes: the largest power of two at
 # which they beat the byte tables plus numpy's import in fresh processes for
 # every pair that scripts/kernel_threshold.py measures (README,
 # "Performance"; BENCH_kernels.json).
-_BITS_MAX_HORIZON = 1 << 17
+_BITS_MAX_HORIZON = 1 << 18
 
 # Values are validated against this so every int64 pair sum stays exact.
 _VALUE_LIMIT = 1 << 62
@@ -285,7 +288,8 @@ _WINDOW = (1 << 64) - 1
 
 # How far the scan may run past the planes' base before both planes are
 # shifted down to it. Shifting a plane costs several times an `&` or `|` of
-# it, so the planes move once per this many bits, not once per term.
+# it, so the planes move once per this many bits, not once per term. Late
+# terms cut g to buckets of the same size, so g is cut once per bucket too.
 _REBASE_BITS = 4096
 
 
@@ -299,6 +303,14 @@ def _bit_sieve(known: bytes, known_horizon: int, horizon: int) -> bytes:
     (bit v - 1 for the term v >= 1), so the term x = base + off - 1 adds the
     sums x + v at g shifted up by off, and none below x + a, as g has no bit
     below a - 1.
+
+    A term x whose sum with the previous term passes the horizon is late:
+    x > horizon / 2, so it and every later term x' need only the terms
+    v <= horizon - x' < x, which g already holds. From the first late term
+    on, g stays as it is and the sums come from `low`, g cut to the
+    multiple of _REBASE_BITS at or above horizon - x (see _late_sums). The
+    planes may then hold sums up to one such bucket past the horizon, so
+    the search stops at the first candidate above it.
     """
     terms = memoryview(known).cast("q")
     j = _seed_end(terms, known_horizon)
@@ -308,16 +320,21 @@ def _bit_sieve(known: bytes, known_horizon: int, horizon: int) -> bytes:
     g = int.from_bytes(seed, "little")
     prev = terms[j - 1]
     base = known_horizon + 1
-    one = two = 0
+    one = two = low = drop = 0
     # Known terms with sums above known_horizon lie below base, so their
     # sums land at g shifted down.
     for x in terms[j:]:
-        sums = g if x + prev <= horizon else g & ((1 << (horizon - x)) - 1)
+        if x + prev <= horizon:
+            sums = g
+            g |= 1 << (x - 1)
+            prev = x
+        else:
+            if x >= drop:
+                low, drop = _late_sums(g, x, horizon)
+            sums = low
         sums >>= base - x - 1
         two |= one & sums
         one |= sums
-        g |= 1 << (x - 1)
-        prev = x
     window, rebase = _WINDOW, _REBASE_BITS
     off = 0
     found = []
@@ -335,14 +352,30 @@ def _bit_sieve(known: bytes, known_horizon: int, horizon: int) -> bytes:
             break
         off = (exactly_one & -exactly_one).bit_length()
         x = base + off - 1
+        if x > horizon:
+            break
         found.append(x)
-        sums = g if x + prev <= horizon else g & ((1 << (horizon - x)) - 1)
+        if x + prev <= horizon:
+            sums = g
+            g |= 1 << (x - 1)
+            prev = x
+        else:
+            if x >= drop:
+                low, drop = _late_sums(g, x, horizon)
+            sums = low
         sums <<= off
         two |= one & sums
         one |= sums
-        g |= 1 << (x - 1)
-        prev = x
     return known + array("q", found).tobytes()
+
+
+def _late_sums(g: int, x: int, horizon: int) -> tuple[int, int]:
+    """(low, drop) for the late term x: low is g below bit `cut`, the
+    multiple of _REBASE_BITS at or above horizon - x, which holds every
+    term that x and the later terms pair with. The terms from drop on need
+    at least one bucket less, so they cut again."""
+    cut = -((x - horizon) // _REBASE_BITS) * _REBASE_BITS
+    return g & ((1 << cut) - 1), horizon - cut + _REBASE_BITS
 
 
 def _byte_sieve(a: int, known: bytes, known_horizon: int, horizon: int) -> bytes:

@@ -147,6 +147,56 @@ def shifting_bit_sieve(known, known_horizon, horizon):
     return known + array("q", found).tobytes()
 
 
+def trailing_bit_sieve(known, known_horizon, horizon):
+    """The engine's bit-plane kernel before its late terms stopped growing g.
+
+    Same contract as `engine._bit_sieve`. The planes trail the scan and
+    drop their decided bits only once it is more than 4096 bits past their
+    base, but every term x whose sum with the previous term passes the
+    horizon masks g to the sums up to it, g & ((1 << (horizon - x)) - 1),
+    and every term joins g.
+    """
+    terms = memoryview(known).cast("q")
+    j = _seed_end(terms, known_horizon)
+    seed = bytearray(((known_horizon - 1) >> 3) + 1)
+    for t in terms[:j]:
+        seed[(t - 1) >> 3] |= 1 << ((t - 1) & 7)
+    g = int.from_bytes(seed, "little")
+    prev = terms[j - 1]
+    base = known_horizon + 1
+    one = two = 0
+    for x in terms[j:]:
+        sums = g if x + prev <= horizon else g & ((1 << (horizon - x)) - 1)
+        sums >>= base - x - 1
+        two |= one & sums
+        one |= sums
+        g |= 1 << (x - 1)
+        prev = x
+    window, rebase = (1 << 64) - 1, 4096
+    off = 0
+    found = []
+    while True:
+        if off > rebase:
+            one >>= off
+            two >>= off
+            base += off
+            off = 0
+        mask = window << off
+        exactly_one = (one & mask) ^ (two & mask) or (one ^ two) >> off << off
+        if not exactly_one:
+            break
+        off = (exactly_one & -exactly_one).bit_length()
+        x = base + off - 1
+        found.append(x)
+        sums = g if x + prev <= horizon else g & ((1 << (horizon - x)) - 1)
+        sums <<= off
+        two |= one & sums
+        one |= sums
+        g |= 1 << (x - 1)
+        prev = x
+    return known + array("q", found).tobytes()
+
+
 def rep_table(terms, horizon):
     """Exact pair-sum counts: table[n] = #{x < y in terms : x + y = n}."""
     arr = np.asarray(terms, dtype=np.int64)

@@ -14,7 +14,7 @@ from ulamkit import engine
 from ulamkit.errors import HorizonTooLarge, InsufficientHorizon, InvalidParameters
 
 from oracles import (naive_rep_count, naive_ulam, rep_table, scatter_extend,
-                     scatter_generate, shifting_bit_sieve)
+                     scatter_generate, shifting_bit_sieve, trailing_bit_sieve)
 
 U12_PREFIX = [1, 2, 3, 4, 6, 8, 11, 13, 16, 18, 26, 28]
 # frozen from the brute-force oracle
@@ -318,14 +318,16 @@ def test_extend_matches_scatter_oracle(each_kernel, pair, horizon, data):
     assert got == {"byte": want, "bit": want}
 
 
-# Rebase distances: after every term, after 64 bits (the search window), and
-# the engine's own.
-REBASES = st.sampled_from([0, 64, engine._REBASE_BITS])
+# Rebase distances, which are also the buckets that late terms cut g to:
+# 1 bit, so that every late term cuts g to exactly its sums up to the
+# horizon; 2 bits, so that the planes hold sums one bit past it; 64 bits
+# (the search window); and the engine's own.
+REBASES = st.sampled_from([1, 2, 64, engine._REBASE_BITS])
 
 
 def assert_bit_kernels_agree(a, b, h0, horizon):
     """The bit kernel completes the terms up to h0 (the seeds when h0 == b)
-    to horizon exactly as the shifting-planes kernel it replaced and the
+    to horizon exactly as the two bit-plane kernels it replaced and the
     scatter oracles do."""
     known = scatter_generate(a, b, h0)
     want = scatter_generate(a, b, horizon)
@@ -333,8 +335,72 @@ def assert_bit_kernels_agree(a, b, h0, horizon):
         assert scatter_extend(known, h0, horizon) == want
     known = array("q", known).tobytes()
     got = engine._bit_sieve(known, h0, horizon)
+    assert got == trailing_bit_sieve(known, h0, horizon)
     assert got == shifting_bit_sieve(known, h0, horizon)
     assert memoryview(got).cast("q").tolist() == want
+    return want
+
+
+def count_late_cuts(monkeypatch):
+    """A list that gets one entry each time the bit kernel cuts g."""
+    cuts, late_sums = [], engine._late_sums
+
+    def counted(g, x, horizon):
+        cuts.append(x)
+        return late_sums(g, x, horizon)
+
+    monkeypatch.setattr(engine, "_late_sums", counted)
+    return cuts
+
+
+def assert_late_cuts(cuts, terms, horizon, bucket):
+    """The kernel cut g first at the first late term, the first whose sum
+    with the one before it passes the horizon, and, with 1-bit buckets, at
+    every late term."""
+    late = next((terms[i:] for i in range(1, len(terms))
+                 if terms[i] + terms[i - 1] > horizon), [])
+    assert cuts[:1] == late[:1]
+    assert set(cuts) <= set(late)
+    if bucket == 1:
+        assert cuts == late
+
+
+@settings(PATCHES_THRESHOLD, max_examples=60)
+@example(pair=(1, 2), extra=20_000, bucket=1)
+@example(pair=(2, 5), extra=20_000, bucket=2)
+@example(pair=(1, 3), extra=0, bucket=64)
+@given(pair=WIDE_PAIRS,
+       extra=st.one_of(st.sampled_from([0, 1]), st.integers(2, 20_000)),
+       bucket=REBASES)
+def test_bit_kernel_late_terms_from_the_seeds(monkeypatch, pair, extra,
+                                              bucket):
+    # generation to H = b + extra, H = b and b + 1 among them: the terms
+    # past H / 2 sieve from g cut to buckets of `bucket` bits
+    a, b = pair
+    horizon = b + extra
+    monkeypatch.setattr(engine, "_REBASE_BITS", bucket)
+    cuts = count_late_cuts(monkeypatch)
+    want = assert_bit_kernels_agree(a, b, b, horizon)
+    assert_late_cuts(cuts, want, horizon, bucket)
+
+
+@settings(PATCHES_THRESHOLD, max_examples=60)
+@example(pair=(1, 2), horizon=20_000, fraction=0.5, bucket=1)
+@example(pair=(2, 5), horizon=20_000, fraction=0.99, bucket=4096)
+@given(pair=WIDE_PAIRS, horizon=st.integers(3, 20_000),
+       fraction=st.floats(0.5, 1), bucket=REBASES)
+def test_bit_kernel_extends_late(monkeypatch, pair, horizon, fraction,
+                                 bucket):
+    # the known horizon h0 is at least H / 2, so the known terms that pass
+    # H / 2 are late in the known-term loop, and the found terms go on from
+    # the cut g they leave
+    a, b = pair
+    horizon = max(horizon, b + 1)
+    h0 = min(max(b, -(-horizon // 2), int(fraction * horizon)), horizon - 1)
+    monkeypatch.setattr(engine, "_REBASE_BITS", bucket)
+    cuts = count_late_cuts(monkeypatch)
+    want = assert_bit_kernels_agree(a, b, h0, horizon)
+    assert_late_cuts(cuts, want, horizon, bucket)
 
 
 @settings(PATCHES_THRESHOLD, max_examples=40)
@@ -363,7 +429,7 @@ def test_bit_kernel_gaps_wider_than_the_window(monkeypatch, n, factor, start,
 
 
 @settings(PATCHES_THRESHOLD, max_examples=30)
-@example(pair=(1, 2), index=5, span=100, rebase=0)
+@example(pair=(1, 2), index=5, span=100, rebase=1)
 @given(pair=WIDE_PAIRS, index=st.integers(1, 200), span=st.integers(1, 3000),
        rebase=REBASES)
 def test_bit_kernel_extends_from_a_term(monkeypatch, pair, index, span,
@@ -411,15 +477,33 @@ def test_counts_past_a_byte_match_naive(monkeypatch):
     assert engine.extend(start, 5000).term_list() == expected
 
 
+def trailing_oracle(a, b, horizon, known=None, known_horizon=None):
+    """The terms up to horizon by the bit kernel the engine replaced, from
+    the seeds or from the terms `known` up to known_horizon. On the denser
+    pairs it takes a fraction of the scatter oracles' time."""
+    if known is None:
+        known, known_horizon = [a, b], b
+    got = trailing_bit_sieve(array("q", known).tobytes(), known_horizon,
+                             horizon)
+    return memoryview(got).cast("q").tolist()
+
+
 @pytest.mark.parametrize("a, b", [(1, 2), (2, 5), (3, 6)])
 def test_extend_across_the_kernel_threshold(a, b):
-    # the bit kernel builds the prefix, the byte kernel extends it
+    # the bit kernel builds the prefix, the byte kernel extends it; U(1,2)
+    # is checked against the scatter oracles, the others against the bit
+    # kernel the engine replaced
     h0 = engine._BITS_MAX_HORIZON - 37
     horizon = engine._BITS_MAX_HORIZON + 4000
     start = engine.generate_to_horizon(params(a, b), h0)
     got = engine.extend(start, horizon).term_list()
-    assert got == scatter_extend(scatter_generate(a, b, h0), h0, horizon)
-    assert got == scatter_generate(a, b, horizon)
+    if (a, b) == (1, 2):
+        assert got == scatter_extend(scatter_generate(a, b, h0), h0, horizon)
+        assert got == scatter_generate(a, b, horizon)
+    else:
+        known = trailing_oracle(a, b, h0)
+        assert start.term_list() == known
+        assert got == trailing_oracle(a, b, horizon, known, h0)
 
 
 @settings(PATCHES_THRESHOLD, max_examples=25)
@@ -437,12 +521,14 @@ def test_extend_across_a_lowered_threshold(monkeypatch, pair, threshold, data):
 @pytest.mark.parametrize("a, b", [(1, 2), (2, 5)])
 def test_count_doubling_across_the_kernel_threshold(a, b):
     # generate_count doubles from b: bit kernel up to the threshold, then
-    # the byte kernel for the first term above it
+    # the byte kernel for the first term above it; checked as across the
+    # threshold above
     threshold = engine._BITS_MAX_HORIZON
     k = len(engine.generate_to_horizon(params(a, b), threshold)) + 1
     p = engine.generate_count(params(a, b), k)
     assert p.horizon // 2 <= threshold < p.horizon
-    want = scatter_generate(a, b, p.horizon)
+    want = (scatter_generate(a, b, p.horizon) if (a, b) == (1, 2)
+            else trailing_oracle(a, b, p.horizon))
     assert p.term_list() == want
     assert p.term_list()[:500] == naive_ulam(a, b, want[499])
 

@@ -155,9 +155,10 @@ def cache_dir(tmp_path_factory):
 
 class TestNumpyOnlyToSieve:
     """Only the byte kernel imports numpy: a command served from the cache
-    never loads it, nor does a sieve up to the bit-plane threshold; a sieve
-    above it does. No command loads `dataclasses`, and the analysis
-    commands that use no pattern code leave the pattern layers unloaded."""
+    never loads it, nor does a sieve or an extension up to the bit-plane
+    threshold; one above it does. No command loads `dataclasses`, and the
+    analysis commands that use no pattern code leave the pattern layers
+    unloaded."""
 
     @pytest.mark.parametrize("name", sorted(CACHED_COMMANDS))
     def test_cached_command_skips_numpy(self, tmp_path, cache_dir, name):
@@ -191,6 +192,28 @@ class TestNumpyOnlyToSieve:
 
     def test_miss_above_the_threshold_loads_numpy(self, tmp_path):
         loaded = self.miss(tmp_path, ulamkit.engine._BITS_MAX_HORIZON + 1)
+        assert loaded["numpy"] is True
+
+    def extend(self, tmp_path, horizon):
+        """Cache U(1,2) to half the threshold, then probe a member query
+        that extends the cached prefix to horizon."""
+        cache = tmp_path / "cache"
+        start = run_module("generate", "--a", "1", "--b", "2", "--horizon",
+                           str(ulamkit.engine._BITS_MAX_HORIZON // 2),
+                           "--cache-dir", str(cache))
+        assert start.returncode == 0 and start.stderr == ""
+        proc, loaded = probe(tmp_path, "member", "--a", "1", "--b", "2",
+                             "--m", str(horizon), "--cache-dir", str(cache))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert ulamkit.cache_read(cache / "u1_2.ulam").horizon == horizon
+        return loaded
+
+    def test_extend_to_the_threshold_skips_numpy(self, tmp_path):
+        loaded = self.extend(tmp_path, ulamkit.engine._BITS_MAX_HORIZON)
+        assert "numpy" not in loaded
+
+    def test_extend_above_the_threshold_loads_numpy(self, tmp_path):
+        loaded = self.extend(tmp_path, ulamkit.engine._BITS_MAX_HORIZON + 1)
         assert loaded["numpy"] is True
 
 
