@@ -56,6 +56,8 @@ def commands(code: str) -> dict:
         "member U(1,2)": ["member", "--a", "1", "--b", "2", "--m", "3000"],
         "detect-period U(2,5)": ["detect-period", "--a", "2", "--b", "5",
                                  "--horizon", "3000", "--format", "json"],
+        "density U(1,2)": ["density", "--a", "1", "--b", "2", "--n", "3000",
+                           "--format", "json"],
         "census U(1,2)": ["census", "--a", "1", "--b", "2", "--horizon",
                           "3000", "--modulus", "4", "--format", "json"],
         "export-ap U(2,5)": ["export-ap", "--a", "2", "--b", "5",

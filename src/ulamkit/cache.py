@@ -21,8 +21,8 @@ from operator import sub
 from pathlib import Path
 
 from .engine import (_VALUE_LIMIT, MAX_HORIZON_DEFAULT, UlamParams, UlamPrefix,
-                     _check_count, _check_target, _grow_to_count, extend,
-                     generate_to_horizon, validate_params)
+                     _check_target, extend, generate_to_horizon,
+                     validate_params)
 from .errors import (CorruptCache, HorizonTooLarge, InvalidParameters,
                      VersionMismatch)
 from .fsutil import atomic_write_bytes
@@ -181,19 +181,22 @@ class PrefixStore:
         return prefix
 
     def get_count(self, params: UlamParams, k: int) -> UlamPrefix:
-        """A prefix holding at least the first k terms."""
-        _check_count(k)
+        """A prefix holding at least the first k terms. The horizon doubles
+        from b, or from the cached one, up to max_horizon; there the error
+        keeps the prefix as `partial`."""
+        if k < 1:
+            raise InvalidParameters(f"k must be positive, got {k}")
         path, cached = self._load(params)
         prefix = (generate_to_horizon(params, params.b, self.max_horizon)
                   if cached is None else cached)
-        try:
-            prefix = _grow_to_count(prefix, k, self.max_horizon)
-        except HorizonTooLarge as exc:
-            if exc.partial is not cached:
-                self._save(path, exc.partial)
-            raise
+        while len(prefix) < k and prefix.horizon < self.max_horizon:
+            prefix = extend(prefix, min(2 * prefix.horizon, self.max_horizon),
+                            self.max_horizon)
         if prefix is not cached:
             self._save(path, prefix)
+        if len(prefix) < k:
+            raise HorizonTooLarge(2 * prefix.horizon, self.max_horizon,
+                                  partial=prefix)
         return prefix
 
     def _load(self, params: UlamParams) -> tuple[Path | None, UlamPrefix | None]:

@@ -94,12 +94,9 @@ def _params(args) -> UlamParams:
 
 
 def _analysis_params(args) -> UlamParams:
-    """The pair of an analysis command; a non-coprime pair needs the flag."""
+    """The pair of an analysis command, checked before any prefix is built."""
     params = _params(args)
-    if not params.coprime and not args.allow_non_coprime:
-        raise InvalidParameters(
-            f"({params.a},{params.b}) is not coprime; "
-            "pass --allow-non-coprime to analyse it anyway")
+    engine.require_analysis_grade(params, args.allow_non_coprime)
     return params
 
 
@@ -229,15 +226,14 @@ def cmd_detect_period(args) -> int:
 
 
 def cmd_density(args) -> int:
-    from fractions import Fraction
-
-    params = _analysis_params(args)
-    count = engine.count_upto(params, args.n, store=_store(args))
-    ratio = Fraction(count, args.n + 1)
-    obj = {"a": params.a, "b": params.b, "n": args.n, "count": count,
-           "ratio": float(ratio), "ratio_fraction": str(ratio)}
-    _emit(args, obj, f"C({args.n}) = {count}; "
-                     f"C/(n+1) = {ratio} = {float(ratio):.6f}")
+    params = _params(args)
+    est = regularity.empirical_density(
+        params, args.n, store=_store(args),
+        allow_non_coprime=args.allow_non_coprime)
+    obj = {"a": params.a, "b": params.b, "n": est.n, "count": est.count,
+           "ratio": float(est.ratio), "ratio_fraction": str(est.ratio)}
+    _emit(args, obj, f"C({est.n}) = {est.count}; "
+                     f"C/(n+1) = {est.ratio} = {float(est.ratio):.6f}")
     return EXIT_OK
 
 

@@ -244,22 +244,6 @@ def _check_target(params: UlamParams, horizon: int, max_horizon: int) -> None:
     _check_horizon(horizon, max_horizon)
 
 
-def _check_count(k: int) -> None:
-    if k < 1:
-        raise InvalidParameters(f"k must be positive, got {k}")
-
-
-def _grow_to_count(prefix: UlamPrefix, k: int, max_horizon: int) -> UlamPrefix:
-    """Double the horizon (capped) until k terms; the cap error keeps the prefix."""
-    while len(prefix) < k:
-        if prefix.horizon >= max_horizon:
-            raise HorizonTooLarge(2 * prefix.horizon, max_horizon,
-                                  partial=prefix)
-        prefix = extend(prefix, min(2 * prefix.horizon, max_horizon),
-                        max_horizon)
-    return prefix
-
-
 def _seed_end(terms, known_horizon: int) -> int:
     """How many known terms have no sum above known_horizon with a smaller
     term: those whose sum with their predecessor is <= known_horizon, and
@@ -446,10 +430,11 @@ def extend(prefix: UlamPrefix, new_horizon: int,
 
 def generate_count(params: UlamParams, k: int,
                    max_horizon: int = MAX_HORIZON_DEFAULT) -> UlamPrefix:
-    """A prefix holding at least the first k terms (horizon grows by doubling)."""
-    _check_count(k)
-    return _grow_to_count(generate_to_horizon(params, params.b, max_horizon),
-                          k, max_horizon)
+    """A prefix holding at least the first k terms: PrefixStore().get_count
+    at this cap, whose horizon doubles from b."""
+    from .cache import PrefixStore  # cache imports this module
+
+    return PrefixStore(None, max_horizon).get_count(params, k)
 
 
 def _source(store: PrefixStore | None) -> PrefixStore:
@@ -489,13 +474,13 @@ def require_analysis_grade(params: UlamParams, allow_non_coprime: bool = False) 
     """Refuse flagged (non-coprime) pairs unless the caller overrides.
 
     Generation and membership work for any valid pair; the analysis layers
-    call this first because non-coprime pairs degenerate.
+    and the CLI call this first because non-coprime pairs degenerate. The
+    message names the CLI flag; library callers pass allow_non_coprime.
     """
     if not params.coprime and not allow_non_coprime:
         raise InvalidParameters(
             f"({params.a},{params.b}) is not coprime; "
-            "pass allow_non_coprime=True to analyse it anyway"
-        )
+            "pass --allow-non-coprime to analyse it anyway")
 
 
 def rep_count_exact(prefix: UlamPrefix, n: int) -> int:

@@ -5,13 +5,24 @@ from __future__ import annotations
 import os
 import tempfile
 
+# The mode open(path, "wb") gives a new file; mkstemp would leave 0600.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+_FILE_MODE = 0o666 & ~_UMASK
+
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write via a temp file in the target directory, then rename over path."""
+    """Write via a temp file in the target directory, then rename over path;
+    the file gets the mode a plain open gives a new one."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        raise
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fd, _FILE_MODE)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

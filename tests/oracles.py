@@ -14,8 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ulamkit.engine import UlamPrefix, _seed_end, validate_params
-from ulamkit.errors import CorruptCache, InvalidParameters, VersionMismatch
+from ulamkit.engine import (MAX_HORIZON_DEFAULT, UlamPrefix, _seed_end,
+                            extend, generate_to_horizon, validate_params)
+from ulamkit.errors import (CorruptCache, HorizonTooLarge, InvalidParameters,
+                            VersionMismatch)
 from ulamkit.regularity import PeriodicityCandidate
 
 
@@ -195,6 +197,22 @@ def trailing_bit_sieve(known, known_horizon, horizon):
         g |= 1 << (x - 1)
         prev = x
     return known + array("q", found).tobytes()
+
+
+def grow_to_count(params, k, max_horizon=MAX_HORIZON_DEFAULT):
+    """generate_count from before it went through PrefixStore: the prefix
+    to b, extended to twice its horizon (capped at max_horizon) until it
+    holds k terms. At the cap the error keeps the prefix as `partial`."""
+    if k < 1:
+        raise InvalidParameters(f"k must be positive, got {k}")
+    prefix = generate_to_horizon(params, params.b, max_horizon)
+    while len(prefix) < k:
+        if prefix.horizon >= max_horizon:
+            raise HorizonTooLarge(2 * prefix.horizon, max_horizon,
+                                  partial=prefix)
+        prefix = extend(prefix, min(2 * prefix.horizon, max_horizon),
+                        max_horizon)
+    return prefix
 
 
 def rep_table(terms, horizon):

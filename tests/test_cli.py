@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -17,7 +18,10 @@ from ulamkit.cli import main
 from ulamkit.engine import generate_to_horizon, validate_params
 from ulamkit.errors import InvalidParameters
 from ulamkit.patterns import decode
-from ulamkit.regularity import detect_period, residue_census
+from ulamkit.progressions import ap_decomposition
+from ulamkit.regularity import (PeriodicityCandidate, density_inequality_check,
+                                detect_period, empirical_density, gaps,
+                                hierarchy_report, residue_census)
 
 U12 = [1, 2, 3, 4, 6, 8, 11, 13, 16, 18, 26, 28]
 
@@ -615,6 +619,46 @@ class TestOutputFile:
         assert json.loads(target.read_text())["count"] == 125
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
+    def test_out_into_missing_directory_names_the_target(self, capsys,
+                                                        tmp_path):
+        # the message names the user's path, not the temporary file's
+        target = tmp_path / "missing" / "x"
+        assert run(capsys, "generate", "--a", "1", "--b", "2", "--horizon",
+                   "10", "--out", str(target)) == (
+            2, "", f"error: [Errno 2] No such file or directory: "
+                   f"{str(target)!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                             ids=["umask-022", "umask-027"])
+    def test_written_files_follow_the_umask(self, tmp_path, umask, mode):
+        # a report, a JSON-lines report and a cache file get the mode that
+        # open(path, "w") gives a new file; an existing file's mode is
+        # replaced by it as well
+        src = str(Path(ulamkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("ULAM_CACHE_DIR", None)
+        (tmp_path / "rep.txt").write_text("old")
+        os.chmod(tmp_path / "rep.txt", 0o600)
+        for argv in (["generate", "--a", "1", "--b", "2", "--horizon", "10",
+                      "--out", "rep.txt", "--cache-dir", "c"],
+                     ["sweep", "--code", BLOCK_CODE, "--modulus", "1",
+                      "--residue", "0", "--n-from", "4", "--n-to", "5",
+                      "--seg-c", "5", "--seg-d", "-1",
+                      "--report-jsonl", "rep.jsonl"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ulamkit.cli", *argv],
+                capture_output=True, text=True, timeout=60, env=env,
+                cwd=tmp_path, preexec_fn=lambda: os.umask(umask))
+            assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        written = [tmp_path / "rep.txt", tmp_path / "rep.jsonl",
+                   tmp_path / "c" / "u1_2.ulam"]
+        assert {p.name: oct(stat.S_IMODE(p.stat().st_mode))
+                for p in written} == {p.name: oct(mode) for p in written}
+        assert (tmp_path / "rep.txt").read_text().split() == ["1", "2", "3",
+                                                              "4", "6", "8"]
+
 
 class TestErrorMapping:
     def test_bad_params(self, capsys):
@@ -649,6 +693,34 @@ class TestErrorMapping:
         code, obj = run_json(capsys, "density", "--a", "2", "--b", "4",
                              "--n", "100", "--allow-non-coprime")
         assert code == 0
+
+    @pytest.mark.parametrize("call", [
+        lambda p, prefix, cand, allow: empirical_density(
+            p, 100, allow_non_coprime=allow),
+        lambda p, prefix, cand, allow: density_inequality_check(
+            p, 1, 2, 3, 1, 10, allow_non_coprime=allow),
+        lambda p, prefix, cand, allow: residue_census(
+            prefix, 3, 0, allow_non_coprime=allow),
+        lambda p, prefix, cand, allow: hierarchy_report(
+            p, None, None, prefix, allow_non_coprime=allow),
+        lambda p, prefix, cand, allow: ap_decomposition(
+            prefix, cand, allow_non_coprime=allow),
+    ], ids=["empirical_density", "density_inequality_check", "residue_census",
+            "hierarchy_report", "ap_decomposition"])
+    def test_library_refusal_is_the_cli_refusal(self, capsys, call):
+        # one refusal: each library entry raises the text the CLI prints
+        code, _, err = run(capsys, "density", "--a", "2", "--b", "4",
+                           "--n", "100")
+        params = validate_params(2, 4)
+        prefix = generate_to_horizon(params, 200)
+        last = gaps(prefix)[-1]
+        # the last gap alone: a candidate this prefix does not refute
+        cand = PeriodicityCandidate(len(prefix) - 2, 1, (last,), last, 1,
+                                    Fraction(1, len(prefix) - 1))
+        with pytest.raises(InvalidParameters) as exc:
+            call(params, prefix, cand, False)
+        assert (code, err) == (2, f"error: {exc.value}\n")
+        call(params, prefix, cand, True)  # the override passes the check
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

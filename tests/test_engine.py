@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from ulamkit import engine
 from ulamkit.errors import HorizonTooLarge, InsufficientHorizon, InvalidParameters
 
-from oracles import (naive_rep_count, naive_ulam, rep_table, scatter_extend,
-                     scatter_generate, shifting_bit_sieve, trailing_bit_sieve)
+from oracles import (grow_to_count, naive_rep_count, naive_ulam, rep_table,
+                     scatter_extend, scatter_generate, shifting_bit_sieve,
+                     trailing_bit_sieve)
 
 U12_PREFIX = [1, 2, 3, 4, 6, 8, 11, 13, 16, 18, 26, 28]
 # frozen from the brute-force oracle
@@ -125,10 +126,15 @@ class TestGenerateCount:
         assert engine.nth_term(params(2, 3), 10) == 19
 
     def test_resource_limit_carries_partial(self):
+        # as the doubling loop generate_count ran before PrefixStore did
+        with pytest.raises(HorizonTooLarge) as want:
+            grow_to_count(params(1, 2), 10_000, max_horizon=50)
         with pytest.raises(HorizonTooLarge) as ei:
             engine.generate_count(params(1, 2), 10_000, max_horizon=50)
+        assert str(ei.value) == str(want.value)
         assert ei.value.partial is not None
         assert ei.value.partial.horizon == 50
+        assert ei.value.partial.term_list() == want.value.partial.term_list()
 
     def test_k_zero(self):
         with pytest.raises(InvalidParameters):

@@ -138,7 +138,8 @@ CACHED_COMMANDS = {
                        CODE_25, "--lo", "1", "--hi", "2000"],
 }
 # The commands above whose analysis uses no pattern code.
-PATTERN_FREE_COMMANDS = {"detect-period", "gaps", "census", "density-check"}
+PATTERN_FREE_COMMANDS = {"detect-period", "gaps", "census", "density-check",
+                         "density"}
 # What `dataclasses` imports; the records are slotted classes instead.
 DATACLASS_MODULES = {"dataclasses", "inspect"}
 
