@@ -171,34 +171,21 @@ def _int64_bytes(terms) -> bytes:
 class UlamPrefix:
     """A fully decided initial segment: membership is settled for all m <= horizon.
 
-    The strictly increasing terms are immutable int64 storage. `ints` reads
-    it as a read-only memoryview of Python ints, which is all the queries
-    here use. `terms` is the same storage as a read-only int64 ndarray,
-    made on first access; apart from the sieve, only that access imports
-    numpy. Instances are immutable and safe to share between threads.
+    The strictly increasing terms are immutable int64 storage, which `ints`
+    reads as a read-only memoryview of Python ints. Instances are immutable
+    and safe to share between threads.
     """
 
-    __slots__ = ("params", "ints", "horizon", "_terms")
+    __slots__ = ("params", "ints", "horizon")
 
     def __init__(self, params: UlamParams, terms, horizon: int):
         set_ = object.__setattr__
         set_(self, "params", params)
         set_(self, "ints", memoryview(_int64_bytes(terms)).cast("q"))
         set_(self, "horizon", horizon)
-        set_(self, "_terms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"UlamPrefix is immutable; cannot set {name!r}")
-
-    @property
-    def terms(self):
-        """The terms as a read-only int64 ndarray (a view, not a copy)."""
-        if self._terms is None:
-            import numpy as np
-
-            object.__setattr__(self, "_terms",
-                               np.frombuffer(self.ints.obj, dtype=np.int64))
-        return self._terms
 
     def __len__(self) -> int:
         return len(self.ints)
@@ -298,10 +285,7 @@ def _bit_sieve(known: bytes, known_horizon: int, horizon: int) -> bytes:
     """
     terms = memoryview(known).cast("q")
     j = _seed_end(terms, known_horizon)
-    seed = bytearray(((known_horizon - 1) >> 3) + 1)
-    for t in terms[:j]:
-        seed[(t - 1) >> 3] |= 1 << ((t - 1) & 7)
-    g = int.from_bytes(seed, "little")
+    g = _bits(terms[:j], 1, known_horizon)
     prev = terms[j - 1]
     base = known_horizon + 1
     one = two = low = drop = 0
@@ -353,6 +337,16 @@ def _bit_sieve(known: bytes, known_horizon: int, horizon: int) -> bytes:
     return known + array("q", found).tobytes()
 
 
+def _bits(values, base: int, width: int) -> int:
+    """The values, all in [base, base + width), as a bit set: bit v - base
+    for each value v."""
+    seed = bytearray(((width - 1) >> 3) + 1)
+    for v in values:
+        v -= base
+        seed[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(seed, "little")
+
+
 def _late_sums(g: int, x: int, horizon: int) -> tuple[int, int]:
     """(low, drop) for the late term x: low is g below bit `cut`, the
     multiple of _REBASE_BITS at or above horizon - x, which holds every
@@ -363,8 +357,8 @@ def _late_sums(g: int, x: int, horizon: int) -> tuple[int, int]:
 
 
 def _byte_sieve(a: int, known: bytes, known_horizon: int, horizon: int) -> bytes:
-    """The terms up to horizon as int64 bytes, with byte tables. Apart from
-    `UlamPrefix.terms`, the only code that imports numpy."""
+    """The terms up to horizon as int64 bytes, with byte tables. The only
+    code that imports numpy."""
     import numpy as np
 
     known_terms = np.frombuffer(known, dtype=np.int64)

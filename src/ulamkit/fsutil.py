@@ -24,7 +24,11 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fd, _FILE_MODE)
             fh.write(data)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            # name path alone: a set filename2 would still print "-> None"
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     except BaseException:
         try:
             os.unlink(tmp)

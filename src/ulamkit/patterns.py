@@ -16,6 +16,7 @@ to one congruence class.
 from __future__ import annotations
 
 import json
+import re
 
 from .engine import _class_fault, _Record
 from .errors import PatternParseError, PatternSemanticError, UnboundedPattern
@@ -98,47 +99,40 @@ def in_pattern(code: PatternCode, a: int, b: int, m: int) -> bool:
     return any(_component_contains(c, a, b, m) for c in code.components)
 
 
-def component_points(comp: PatternComponent, a: int, b: int,
-                     lo: int | None = None, hi: int | None = None) -> list[int]:
-    """All points of one component, optionally clipped to [lo, hi].
-
-    Unbounded components require hi.
-    """
-    A, B = eval_endpoints(comp, a, b)
-    if B is None:
-        if hi is None:
-            raise UnboundedPattern("unbounded component needs an explicit upper clip")
-        B = hi
-    elif hi is not None:
-        B = min(B, hi)
-    start = A if lo is None else max(A, lo)
-    if start > B:
-        return []
-    if comp.L == 1:
-        return list(range(start, B + 1)) if 0 in comp.S else []
-    out = []
-    for s in sorted(comp.S):
-        first = A + s
-        if first < start:
-            first += ((start - first + comp.L - 1) // comp.L) * comp.L
-        out.extend(range(first, B + 1, comp.L))
-    return out
-
-
-def _point_set(code: PatternCode, a: int, b: int, lo: int | None = None,
-               hi: int | None = None) -> set[int]:
-    """The union of component_points over the code's components."""
-    points: set[int] = set()
+def pattern_bits(code: PatternCode, a: int, b: int, lo: int, hi: int) -> int:
+    """The code's points in [lo, hi] at (a, b) as a bit set: bit m - lo is
+    set for each point m. Unbounded components are clipped at hi."""
+    bits = 0
     for comp in code.components:
-        points.update(component_points(comp, a, b, lo=lo, hi=hi))
-    return points
+        A, B = eval_endpoints(comp, a, b)
+        B = hi if B is None else min(B, hi)
+        L = comp.L
+        for s in comp.S:
+            first = A + s
+            if first < lo:
+                first += (lo - first + L - 1) // L * L
+            if first > B:
+                continue
+            # one point per L bits, doubled up to at least count points and
+            # cut at the last, so no block spans more than twice the window
+            count = (B - first) // L + 1
+            run, n = 1, 1
+            while n < count:
+                run |= run << n * L
+                n *= 2
+            bits |= (run & ((2 << L * (count - 1)) - 1)) << (first - lo)
+    return bits
 
 
 def pattern_set(code: PatternCode, a: int, b: int) -> list[int]:
-    """Sorted list of all points of a fully bounded code at (a, b)."""
+    """Sorted list of all points of a fully bounded code at (a, b). Costs a
+    bit and a character per integer from the least A to b_max."""
     if code.has_unbounded:
         raise UnboundedPattern("pattern_set requires every component bounded")
-    return sorted(_point_set(code, a, b))
+    ends = [eval_endpoints(c, a, b) for c in code.components]
+    lo = min((A for A, B in ends if A <= B), default=0)
+    bits = pattern_bits(code, a, b, lo, max((B for _, B in ends), default=lo))
+    return [lo + one.start() for one in re.finditer("1", bin(bits)[:1:-1])]
 
 
 def b_max(code: PatternCode, a: int, b: int) -> int | None:

@@ -10,10 +10,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING
 
-from .engine import (UlamParams, UlamPrefix, _check_residue_class, _Record,
-                     _source, validate_params)
+from .engine import (UlamParams, UlamPrefix, _bits, _check_residue_class,
+                     _Record, _source, validate_params)
 from .errors import ApplicabilityError, UlamkitError
-from .patterns import PatternCode, _point_set, code_id
+from .patterns import PatternCode, code_id, eval_endpoints, pattern_bits
 
 if TYPE_CHECKING:
     from .cache import PrefixStore
@@ -46,12 +46,18 @@ def _check_applicability(code: PatternCode, params: UlamParams,
 
 
 def _mismatches(code: PatternCode, prefix: UlamPrefix, lo: int,
-                hi: int) -> tuple[set[int], set[int]]:
-    """The members in [lo, hi], and the integers there on exactly one side."""
+                hi: int) -> tuple[int, int, int]:
+    """(base, members, sym): the members in [lo, hi] and the integers there
+    on exactly one side, as bit sets with bit m - base for m. No member lies
+    below a, nor a point below its A, so a window far below 1 costs nothing."""
+    a, b = prefix.params.a, prefix.params.b
+    ends = [eval_endpoints(c, a, b) for c in code.components]
+    least = min([a] + [A for A, B in ends if B is None or A <= B])
+    base = min(max(lo, least), hi + 1)
     terms = prefix.ints
-    members = set(terms[bisect_left(terms, lo):bisect_right(terms, hi)])
-    return members, members ^ _point_set(code, prefix.params.a,
-                                         prefix.params.b, lo, hi)
+    members = _bits(terms[bisect_left(terms, base):bisect_right(terms, hi)],
+                    base, hi - base + 1)
+    return base, members, members ^ pattern_bits(code, a, b, base, hi)
 
 
 def verify_segment(code: PatternCode, params: UlamParams, N: int, M: int,
@@ -68,12 +74,13 @@ def verify_segment(code: PatternCode, params: UlamParams, N: int, M: int,
     if N > M:
         return SegmentReport(params.a, params.b, ident, N, M, True, None, 0)
     prefix = _source(store).get(params, max(M, params.b))
-    members, sym = _mismatches(code, prefix, N, M)
+    base, members, sym = _mismatches(code, prefix, N, M)
     if not sym:
         return SegmentReport(params.a, params.b, ident, N, M, True, None,
                              M - N + 1)
-    first = min(sym)
-    direction = (IN_ULAM_NOT_PATTERN if first in members
+    low = (sym & -sym).bit_length() - 1
+    first = base + low
+    direction = (IN_ULAM_NOT_PATTERN if members >> low & 1
                  else IN_PATTERN_NOT_ULAM)
     return SegmentReport(params.a, params.b, ident, N, M, False,
                          (first, direction), first - N)
@@ -93,10 +100,10 @@ def search_threshold(code: PatternCode, params: UlamParams, M: int,
 
 def _threshold(code: PatternCode, prefix: UlamPrefix, M: int) -> int | None:
     """search_threshold over a prefix reaching M."""
-    sym = _mismatches(code, prefix, 0, M)[1]
+    base, _, sym = _mismatches(code, prefix, 0, M)
     if not sym:
         return 0
-    last = max(sym)
+    last = base + sym.bit_length() - 1
     return last + 1 if last < M else None
 
 

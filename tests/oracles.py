@@ -17,8 +17,14 @@ import numpy as np
 from ulamkit.engine import (MAX_HORIZON_DEFAULT, UlamPrefix, _seed_end,
                             extend, generate_to_horizon, validate_params)
 from ulamkit.errors import (CorruptCache, HorizonTooLarge, InvalidParameters,
-                            VersionMismatch)
+                            UnboundedPattern, VersionMismatch)
+from ulamkit.patterns import eval_endpoints
 from ulamkit.regularity import PeriodicityCandidate
+
+
+def terms_array(prefix):
+    """The prefix's terms as a read-only int64 ndarray over its storage."""
+    return np.frombuffer(prefix.ints.obj, dtype=np.int64)
 
 
 def naive_ulam(a, b, horizon):
@@ -352,7 +358,7 @@ def _read_varint(data, pos, end):
 
 def naive_encode_prefix(prefix):
     """Byte-at-a-time reference for cache.encode_prefix."""
-    terms = prefix.terms
+    terms = terms_array(prefix)
     buf = bytearray(CACHE_MAGIC)
     buf += CACHE_HEADER.pack(prefix.params.a, prefix.params.b,
                              len(terms), prefix.horizon)
@@ -475,7 +481,7 @@ def _vector_decode_terms(payload, term_count):
 
 def vector_encode_prefix(prefix):
     """The numpy reference for cache.encode_prefix."""
-    terms = prefix.terms
+    terms = terms_array(prefix)
     values = np.empty(len(terms), dtype=np.uint64)
     values[0] = terms[0]
     values[1:] = np.diff(terms)
@@ -496,12 +502,12 @@ def vector_decode_terms(payload, term_count):
 # references for the implementations that replaced it.
 
 def vector_gaps(prefix):
-    return np.diff(prefix.terms).tolist()
+    return np.diff(terms_array(prefix)).tolist()
 
 
 def vector_residue_census(prefix, modulus, residue):
     """(count, largest, tail_from) as regularity.residue_census gave them."""
-    terms = prefix.terms
+    terms = terms_array(prefix)
     matching = terms[terms % modulus == residue]
     if matching.size == 0:
         return 0, None, 0
@@ -517,7 +523,7 @@ def scan_density_check(prefix, q_num, q_den, k, N, n_max):
     chunks of 2**20 when the products fit, else one n at a time."""
     if N > n_max:
         return True, None
-    terms = prefix.terms
+    terms = terms_array(prefix)
     vec_safe = (q_den * k * (n_max + 1) < 2**62 and
                 abs(q_num * k + q_den * (n_max + 1)) * (n_max + 1) < 2**62)
     if vec_safe:
@@ -543,20 +549,53 @@ def scan_lower_density(prefix, B):
     """Whether B*C(n) >= n - a + 1 for every n in [a, horizon], n by n."""
     a = prefix.params.a
     n_arr = np.arange(a, prefix.horizon + 1, dtype=np.int64)
-    counts = np.searchsorted(prefix.terms, n_arr, side="right")
+    counts = np.searchsorted(terms_array(prefix), n_arr, side="right")
     return bool(np.all(B * counts >= n_arr - a + 1))
 
 
-def _setxor_points(code, prefix, lo, hi):
-    from ulamkit.patterns import component_points
-    pts = set()
+# The point lists that patterns.pattern_bits replaced.
+
+def component_points(comp, a, b, lo=None, hi=None):
+    """All points of one component, optionally clipped to [lo, hi].
+
+    Unbounded components require hi.
+    """
+    A, B = eval_endpoints(comp, a, b)
+    if B is None:
+        if hi is None:
+            raise UnboundedPattern("unbounded component needs an explicit upper clip")
+        B = hi
+    elif hi is not None:
+        B = min(B, hi)
+    start = A if lo is None else max(A, lo)
+    if start > B:
+        return []
+    if comp.L == 1:
+        return list(range(start, B + 1)) if 0 in comp.S else []
+    out = []
+    for s in sorted(comp.S):
+        first = A + s
+        if first < start:
+            first += ((start - first + comp.L - 1) // comp.L) * comp.L
+        out.extend(range(first, B + 1, comp.L))
+    return out
+
+
+def point_set(code, a, b, lo=None, hi=None):
+    """The union of component_points over the code's components."""
+    points = set()
     for comp in code.components:
-        pts.update(component_points(comp, prefix.params.a, prefix.params.b,
-                                    lo=lo, hi=hi))
-    pattern = np.array(sorted(pts), dtype=np.int64)
-    i0 = int(np.searchsorted(prefix.terms, lo, side="left"))
-    i1 = int(np.searchsorted(prefix.terms, hi, side="right"))
-    members = prefix.terms[i0:i1]
+        points.update(component_points(comp, a, b, lo=lo, hi=hi))
+    return points
+
+
+def _setxor_points(code, prefix, lo, hi):
+    pattern = np.array(sorted(point_set(code, prefix.params.a, prefix.params.b,
+                                        lo, hi)), dtype=np.int64)
+    terms = terms_array(prefix)
+    i0 = int(np.searchsorted(terms, lo, side="left"))
+    i1 = int(np.searchsorted(terms, hi, side="right"))
+    members = terms[i0:i1]
     return members, np.setxor1d(members, pattern)
 
 

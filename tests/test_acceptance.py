@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from oracles import (naive_ulam, parse_presburger, random_code,
-                     reconstruct_term, rep_table)
+                     reconstruct_term, rep_table, terms_array)
 from ulamkit.cache import decode_prefix, encode_prefix
 from ulamkit.engine import UlamPrefix, generate_to_horizon, validate_params
 from ulamkit.mining import mine
@@ -67,7 +67,7 @@ def test_criterion_2_representation_bounds():
     for a, b in REP_PAIRS:
         prefix = generate_to_horizon(validate_params(a, b), horizon)
         table = rep_table(prefix.term_list(), horizon)
-        terms = prefix.terms
+        terms = terms_array(prefix)
         violations += int(np.count_nonzero(table[terms[2:]] != 1))
         non_member = np.ones(horizon + 1, dtype=bool)
         non_member[terms] = False
@@ -233,12 +233,12 @@ def test_criterion_9_roundtrip_identities(u12_million):
         prefix = UlamPrefix(validate_params(int(arr[0]), int(arr[1])), arr,
                             int(arr[-1]) + rng.randrange(0, 10**6))
         back = decode_prefix(encode_prefix(prefix))
-        if not (np.array_equal(back.terms, prefix.terms)
+        if not (back.ints == prefix.ints
                 and back.horizon == prefix.horizon
                 and back.params == prefix.params):
             cache_failures += 1
     big = decode_prefix(encode_prefix(u12_million))
-    big_ok = (np.array_equal(big.terms, u12_million.terms)
+    big_ok = (big.ints == u12_million.ints
               and big.horizon == u12_million.horizon)
     ok = code_failures == 0 and cache_failures == 0 and big_ok
     verdict(9, ok, f"1000 pattern-code and 1000 cache roundtrips plus the "

@@ -629,6 +629,17 @@ class TestOutputFile:
                    f"{str(target)!r}\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_onto_a_directory_names_the_target(self, capsys, tmp_path):
+        # the rename fails; its message names the user's path, the same in
+        # every run, and the temporary file is gone
+        target = tmp_path / "d"
+        target.mkdir()
+        assert run(capsys, "generate", "--a", "1", "--b", "2", "--horizon",
+                   "10", "--out", str(target)) == (
+            2, "", f"error: [Errno 21] Is a directory: {str(target)!r}\n")
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
                              ids=["umask-022", "umask-027"])
     def test_written_files_follow_the_umask(self, tmp_path, umask, mode):

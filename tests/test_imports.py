@@ -6,6 +6,7 @@ earlier test has loaded anything, and check that the public names resolve
 to the same objects as before.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -176,6 +177,23 @@ class TestNumpyOnlyToSieve:
             assert loaded["ulamkit.rigidity"] is False
         # served without writing: the cache is as the fixture left it
         assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == before
+
+    def test_one_numpy_import_in_the_source(self):
+        # numpy's only import statement in the package is in the byte kernel
+        found = []
+        for path in sorted(Path(SRC, "ulamkit").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owners = {id(node): fn.name for fn in ast.walk(tree)
+                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                names = ([alias.name for alias in node.names]
+                         if isinstance(node, ast.Import)
+                         else [node.module or ""]
+                         if isinstance(node, ast.ImportFrom) else [])
+                if any(n.split(".")[0] == "numpy" for n in names):
+                    found.append((path.name, owners.get(id(node))))
+        assert found == [("engine.py", "_byte_sieve")]
 
     def miss(self, tmp_path, horizon):
         proc, loaded = probe(tmp_path, "generate", "--a", "1", "--b", "2",

@@ -36,7 +36,7 @@ class TestDecomposition:
         diffs = {diff for _, diff in decomp.progressions}
         assert diffs == {126}
         firsts = [first for first, _ in decomp.progressions]
-        assert firsts == [int(t) for t in prefix.terms[candidate.N:candidate.N + 32]]
+        assert firsts == prefix.ints[candidate.N:candidate.N + 32].tolist()
 
     def test_progressions_pairwise_disjoint(self):
         _, _, decomp = regular_decomp(2, 5, 3000)

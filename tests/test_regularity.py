@@ -31,7 +31,7 @@ class TestGaps:
 
     def test_requires_two_terms(self):
         p = prefix(1, 2, 28)
-        one_term = engine.UlamPrefix(p.params, p.terms[:1].copy(), 1)
+        one_term = engine.UlamPrefix(p.params, p.ints[:1].tobytes(), 1)
         with pytest.raises(InvalidParameters):
             regularity.gaps(one_term)
 
@@ -161,9 +161,9 @@ class TestReconstruction:
     def test_u25_tail_reconstruction(self):
         p = prefix(2, 5, 5000)
         c = regularity.detect_period(regularity.gaps(p))
-        u_N = int(p.terms[c.N])
+        u_N = p.ints[c.N]
         for i in range(c.N, len(p)):
-            assert reconstruct_term(c, u_N, i) == int(p.terms[i])
+            assert reconstruct_term(c, u_N, i) == p.ints[i]
 
     def test_below_threshold_rejected(self):
         c = regularity.PeriodicityCandidate(3, 1, (2,), 2, 4, Fraction(1, 2))

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from ulamkit import engine, rigidity
 from ulamkit.errors import ApplicabilityError, InvalidParameters
-from ulamkit.patterns import Applicability, PatternCode, PatternComponent, code_id
+from ulamkit.patterns import (Applicability, PatternCode, PatternComponent,
+                              b_max, code_id, eval_endpoints, in_pattern,
+                              pattern_bits, pattern_set)
 
-from oracles import (naive_ulam, random_code, setxor_first_mismatch,
-                     setxor_threshold)
+from oracles import (naive_runs, naive_ulam, point_set, random_code,
+                     setxor_first_mismatch, setxor_threshold)
 
 BLOCK = PatternComponent(A1=0, A2=4, B1=0, B2=5, p=2, q=-1)
 BLOCK_CODE = PatternCode((BLOCK,))
@@ -157,3 +159,112 @@ def test_matches_setxor_reference(seed, pair, N, M):
             assert report.matched_count == first - N
     assert (rigidity.search_threshold(code, p, M, override_applicability=True)
             == setxor_threshold(code, prefix, M))
+
+
+def test_random_codes_draw_masks_and_unbounded_components():
+    # the generator the bit-set tests below draw from covers both shapes
+    comps = [c for seed in range(50)
+             for c in random_code(random.Random(seed)).components]
+    assert any(c.L > 1 and 0 < len(c.S) < c.L for c in comps)
+    assert any(c.unbounded for c in comps)
+
+
+@given(st.integers(0, 10**9), st.sampled_from([(1, 2), (2, 5), (3, 4)]),
+       st.sampled_from(["one", "least A"]), st.integers(-300, 30),
+       st.integers(-30, 300))
+@settings(max_examples=120, deadline=None)
+def test_bit_sets_match_point_oracle_and_scan(seed, pair, anchor, below, above):
+    # windows start below 1 or below the least A and end above b_max, so
+    # every clip of pattern_bits and _mismatches is crossed
+    code = random_code(random.Random(seed))
+    a, b = pair
+    ends = [eval_endpoints(c, a, b) for c in code.components]
+    least = min((A for A, _ in ends), default=1)
+    top = max([B for _, B in ends if B is not None] + [b])
+    N = (1 if anchor == "one" else least) + below
+    M = max(N, top + above)
+    prefix = engine.generate_to_horizon(params(a, b), max(M, b))
+    members = set(prefix.term_list())
+
+    def scan(lo, hi):
+        return [m for m in range(lo, hi + 1)
+                if (m in members) != in_pattern(code, a, b, m)]
+
+    assert pattern_bits(code, a, b, N, M) == sum(
+        1 << m - N for m in point_set(code, a, b, N, M))
+    sym = scan(N, M)
+    assert sym == sorted(members & set(range(N, M + 1))
+                         ^ point_set(code, a, b, N, M))
+    report = rigidity.verify_segment(code, params(a, b), N, M,
+                                     override_applicability=True)
+    first = None if not sym else (sym[0], rigidity.IN_ULAM_NOT_PATTERN
+                                  if sym[0] in members
+                                  else rigidity.IN_PATTERN_NOT_ULAM)
+    assert (report.agrees, report.first_mismatch, report.matched_count) == (
+        not sym, first, sym[0] - N if sym else M - N + 1)
+    tail = scan(0, M)
+    assert rigidity._threshold(code, prefix, M) == (
+        0 if not tail else tail[-1] + 1 if tail[-1] < M else None)
+    assert rigidity._threshold(code, prefix, M) == setxor_threshold(
+        code, prefix, M)
+    if not code.has_unbounded:
+        listed = pattern_set(code, a, b)
+        assert listed == sorted(point_set(code, a, b))
+        hi = b_max(code, a, b)
+        assert listed == ([] if hi is None else [
+            m for m in range(least, hi + 1) if in_pattern(code, a, b, m)])
+
+
+def cap_windows(monkeypatch, limit=10**4):
+    """Fail, before anything is allocated, on a bit set wider than limit."""
+    bits, pbits = rigidity._bits, rigidity.pattern_bits
+
+    def capped_bits(values, base, width):
+        assert width <= limit
+        return bits(values, base, width)
+
+    def capped_pattern_bits(code, a, b, lo, hi):
+        assert hi - lo < limit
+        return pbits(code, a, b, lo, hi)
+
+    monkeypatch.setattr(rigidity, "_bits", capped_bits)
+    monkeypatch.setattr(rigidity, "pattern_bits", capped_pattern_bits)
+
+
+def test_window_far_below_one_costs_its_points(monkeypatch):
+    # no member lies below a and no point below its component's A, so the
+    # bit sets start at 1; a component that is empty far below changes
+    # nothing
+    runs = naive_runs(naive_ulam(1, 20, 599))
+    code = PatternCode(tuple(PatternComponent(p=lo, q=hi) for lo, hi in runs)
+                       + (PatternComponent(p=-10**12, q=-10**12 - 1),))
+    cap_windows(monkeypatch)
+    N = -10**12
+    r = rigidity.verify_segment(code, params(1, 20), N, 599)
+    assert (r.agrees, r.first_mismatch, r.matched_count) == (
+        True, None, 1_000_000_000_600)
+    r = rigidity.verify_segment(PatternCode(code.components[1:]),
+                                params(1, 20), N, 599)
+    assert (r.first_mismatch, r.matched_count) == (
+        (1, rigidity.IN_ULAM_NOT_PATTERN), 10**12 + 1)
+
+
+def test_huge_mask_period_costs_its_points(monkeypatch):
+    # one point per s at L = 10**12 is one bit, never a 2**L-bit block
+    L = 10**12
+    bounded = PatternComponent(p=3, q=5000, L=L, S=frozenset({0, 5, L - 1}))
+    code = PatternCode((bounded, PatternComponent(
+        A2=1, p=-1, L=L, S=frozenset({0, 7}), unbounded=True)))
+    p = params(1, 2)
+    prefix = engine.generate_to_horizon(p, 500)
+    cap_windows(monkeypatch)
+    for N, M in [(1, 500), (-10**12, 500), (4, 8)]:
+        r = rigidity.verify_segment(code, p, N, M)
+        expected = setxor_first_mismatch(code, prefix, N, M)
+        first = None if expected is None else (expected[0], (
+            rigidity.IN_ULAM_NOT_PATTERN if expected[1]
+            else rigidity.IN_PATTERN_NOT_ULAM))
+        assert r.first_mismatch == first
+    assert rigidity._threshold(code, prefix, 500) == setxor_threshold(
+        code, prefix, 500)
+    assert pattern_set(PatternCode((bounded,)), 1, 2) == [3, 8]
