@@ -102,15 +102,13 @@ def in_pattern(code: PatternCode, a: int, b: int, m: int) -> bool:
 def pattern_bits(code: PatternCode, a: int, b: int, lo: int, hi: int) -> int:
     """The code's points in [lo, hi] at (a, b) as a bit set: bit m - lo is
     set for each point m. Unbounded components are clipped at hi."""
-    bits = 0
+    blocks = [(0, 0)]
     for comp in code.components:
         A, B = eval_endpoints(comp, a, b)
         B = hi if B is None else min(B, hi)
         L = comp.L
         for s in comp.S:
-            first = A + s
-            if first < lo:
-                first += (lo - first + L - 1) // L * L
+            first = A + s + max(0, lo - A - s + L - 1) // L * L
             if first > B:
                 continue
             # one point per L bits, doubled up to at least count points and
@@ -120,8 +118,15 @@ def pattern_bits(code: PatternCode, a: int, b: int, lo: int, hi: int) -> int:
             while n < count:
                 run |= run << n * L
                 n *= 2
-            bits |= (run & ((2 << L * (count - 1)) - 1)) << (first - lo)
-    return bits
+            blocks.append((first - lo, run & ((2 << L * (count - 1)) - 1)))
+    # OR neighbours in pairs, from the empty block at 0: each round costs
+    # about one window, where ORing blocks one by one costs one per block
+    blocks.sort()
+    while len(blocks) > 1:
+        pairs = zip(blocks[::2], blocks[1::2])
+        blocks = ([(i, x | y << j - i) for (i, x), (j, y) in pairs]
+                  + blocks[len(blocks) & ~1:])
+    return blocks[0][1]
 
 
 def pattern_set(code: PatternCode, a: int, b: int) -> list[int]:

@@ -46,18 +46,15 @@ def _check_applicability(code: PatternCode, params: UlamParams,
 
 
 def _mismatches(code: PatternCode, prefix: UlamPrefix, lo: int,
-                hi: int) -> tuple[int, int, int]:
-    """(base, members, sym): the members in [lo, hi] and the integers there
-    on exactly one side, as bit sets with bit m - base for m. No member lies
-    below a, nor a point below its A, so a window far below 1 costs nothing."""
-    a, b = prefix.params.a, prefix.params.b
-    ends = [eval_endpoints(c, a, b) for c in code.components]
-    least = min([a] + [A for A, B in ends if B is None or A <= B])
-    base = min(max(lo, least), hi + 1)
+                hi: int) -> tuple[int, int]:
+    """(members, sym): the members in [lo, hi] and the integers there on
+    exactly one side, as bit sets with bit m - lo for m. Both are 0 when
+    lo > hi."""
     terms = prefix.ints
-    members = _bits(terms[bisect_left(terms, base):bisect_right(terms, hi)],
-                    base, hi - base + 1)
-    return base, members, members ^ pattern_bits(code, a, b, base, hi)
+    members = _bits(terms[bisect_left(terms, lo):bisect_right(terms, hi)],
+                    lo, max(hi - lo + 1, 0))
+    a, b = prefix.params.a, prefix.params.b
+    return members, members ^ pattern_bits(code, a, b, lo, hi)
 
 
 def verify_segment(code: PatternCode, params: UlamParams, N: int, M: int,
@@ -74,16 +71,29 @@ def verify_segment(code: PatternCode, params: UlamParams, N: int, M: int,
     if N > M:
         return SegmentReport(params.a, params.b, ident, N, M, True, None, 0)
     prefix = _source(store).get(params, max(M, params.b))
-    base, members, sym = _mismatches(code, prefix, N, M)
-    if not sym:
-        return SegmentReport(params.a, params.b, ident, N, M, True, None,
-                             M - N + 1)
-    low = (sym & -sym).bit_length() - 1
-    first = base + low
-    direction = (IN_ULAM_NOT_PATTERN if members >> low & 1
-                 else IN_PATTERN_NOT_ULAM)
-    return SegmentReport(params.a, params.b, ident, N, M, False,
-                         (first, direction), first - N)
+    a, b = params.a, params.b
+    # No member lies below a, so the least point of the code in [N, a) is
+    # the first mismatch. Found per block by arithmetic, it keeps a window
+    # far below 1 from costing a bit per integer.
+    first = M + 1
+    for comp in code.components:
+        A, B = eval_endpoints(comp, a, b)
+        for s in comp.S:
+            m = A + s + max(0, N - A - s + comp.L - 1) // comp.L * comp.L
+            if m < a and (B is None or m <= B):
+                first = min(first, m)
+    direction = IN_PATTERN_NOT_ULAM
+    if first > M:
+        base = max(N, a)
+        members, sym = _mismatches(code, prefix, base, M)
+        if not sym:
+            return SegmentReport(a, b, ident, N, M, True, None, M - N + 1)
+        low = (sym & -sym).bit_length() - 1
+        first = base + low
+        if members >> low & 1:
+            direction = IN_ULAM_NOT_PATTERN
+    return SegmentReport(a, b, ident, N, M, False, (first, direction),
+                         first - N)
 
 
 def search_threshold(code: PatternCode, params: UlamParams, M: int,
@@ -100,10 +110,10 @@ def search_threshold(code: PatternCode, params: UlamParams, M: int,
 
 def _threshold(code: PatternCode, prefix: UlamPrefix, M: int) -> int | None:
     """search_threshold over a prefix reaching M."""
-    base, _, sym = _mismatches(code, prefix, 0, M)
+    sym = _mismatches(code, prefix, 0, M)[1]
     if not sym:
         return 0
-    last = base + sym.bit_length() - 1
+    last = sym.bit_length() - 1
     return last + 1 if last < M else None
 
 

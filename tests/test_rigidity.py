@@ -98,6 +98,12 @@ class TestSearchThreshold:
         assert (50 in prefix.term_list()) is False
         assert got is None
 
+    @pytest.mark.parametrize("M", [-1, -20])
+    def test_empty_range_below_zero_gives_zero(self, M):
+        # [0, M] holds nothing to disagree on, even with a point at -1
+        code = PatternCode((PatternComponent(p=-1, q=5),))
+        assert rigidity.search_threshold(code, params(1, 2), M) == 0
+
 
 class TestFamilySweep:
     def test_block_over_class(self):
@@ -247,6 +253,25 @@ def test_window_far_below_one_costs_its_points(monkeypatch):
                                 params(1, 20), N, 599)
     assert (r.first_mismatch, r.matched_count) == (
         (1, rigidity.IN_ULAM_NOT_PATTERN), 10**12 + 1)
+
+
+def test_point_far_below_one_is_found_by_arithmetic(monkeypatch):
+    # a point of the code below a is a mismatch whatever the members are,
+    # so the least one is the report and no bit set reaches down to it
+    far = -10**12
+    p = params(1, 2)
+    prefix = engine.generate_to_horizon(p, 10)
+    cap_windows(monkeypatch)
+    for comp, first in [(PatternComponent(p=far, q=far + 5), far),
+                        (PatternComponent(p=far - 7, q=far + 50, L=10,
+                                          S=frozenset({3, 9})), far + 2)]:
+        code = PatternCode((comp, PatternComponent(p=1, q=2)))
+        r = rigidity.verify_segment(code, p, far, 10)
+        assert setxor_first_mismatch(code, prefix, far, 10) == (first, False)
+        assert (r.agrees, r.first_mismatch, r.matched_count) == (
+            False, (first, rigidity.IN_PATTERN_NOT_ULAM), first - far)
+        assert rigidity._threshold(code, prefix, 10) == setxor_threshold(
+            code, prefix, 10)
 
 
 def test_huge_mask_period_costs_its_points(monkeypatch):
