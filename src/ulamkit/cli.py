@@ -23,8 +23,8 @@ from . import (__version__, engine, mining, patterns, progressions,
 from .cache import PrefixStore, cache_path, cache_read
 from .engine import MAX_HORIZON_DEFAULT, UlamParams, validate_params
 from .errors import (AlignmentFailure, CorruptCache, FitFailure,
-                     InvalidParameters, StaleCandidate, UlamkitError,
-                     VersionMismatch)
+                     InvalidParameters, PatternParseError, StaleCandidate,
+                     UlamkitError, VersionMismatch)
 from .fsutil import atomic_write_text
 
 EXIT_OK = 0
@@ -103,7 +103,11 @@ def _analysis_params(args) -> UlamParams:
 def _load_code(source: str):
     if source.startswith("@"):
         with open(source[1:], encoding="utf-8") as fh:
-            source = fh.read()
+            try:
+                source = fh.read()
+            except UnicodeDecodeError as e:
+                raise PatternParseError(f"pattern code is not UTF-8: byte "
+                                        f"{e.start}", offset=e.start) from e
     return patterns.decode(source)
 
 

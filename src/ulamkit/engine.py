@@ -285,44 +285,38 @@ def _bit_sieve(known: bytes, known_horizon: int, horizon: int) -> bytes:
     """
     terms = memoryview(known).cast("q")
     j = _seed_end(terms, known_horizon)
-    g = _bits(terms[:j], 1, known_horizon)
+    seed = bytearray((known_horizon + 7) >> 3)
+    for v in terms[:j]:
+        seed[(v - 1) >> 3] |= 1 << ((v - 1) & 7)
+    g = int.from_bytes(seed, "little")
     prev = terms[j - 1]
     base = known_horizon + 1
-    one = two = low = drop = 0
-    # Known terms with sums above known_horizon lie below base, so their
-    # sums land at g shifted down.
-    for x in terms[j:]:
-        if x + prev <= horizon:
-            sums = g
-            g |= 1 << (x - 1)
-            prev = x
-        else:
-            if x >= drop:
-                low, drop = _late_sums(g, x, horizon)
-            sums = low
-        sums >>= base - x - 1
-        two |= one & sums
-        one |= sums
+    one = two = low = drop = off = 0
     window, rebase = _WINDOW, _REBASE_BITS
-    off = 0
     found = []
     while True:
-        if off > rebase:
-            one >>= off
-            two >>= off
-            base += off
-            off = 0
-        # two is a subset of one, so one ^ two is "exactly one"; bits below
-        # off are decided and are masked out
-        mask = window << off
-        exactly_one = (one & mask) ^ (two & mask) or (one ^ two) >> off << off
-        if not exactly_one:
-            break
-        off = (exactly_one & -exactly_one).bit_length()
-        x = base + off - 1
-        if x > horizon:
-            break
-        found.append(x)
+        # Known terms with sums above known_horizon come first. They lie
+        # below base, so their sums land at g shifted down.
+        if j < len(terms):
+            x = terms[j]
+            j += 1
+        else:
+            if off > rebase:
+                one >>= off
+                two >>= off
+                base += off
+                off = 0
+            # two is a subset of one, so one ^ two is "exactly one"; bits
+            # below off are decided and are masked out
+            mask = window << off
+            exactly_one = (one & mask) ^ (two & mask) or (one ^ two) >> off << off
+            if not exactly_one:
+                break
+            off = (exactly_one & -exactly_one).bit_length()
+            x = base + off - 1
+            if x > horizon:
+                break
+            found.append(x)
         if x + prev <= horizon:
             sums = g
             g |= 1 << (x - 1)
@@ -331,20 +325,10 @@ def _bit_sieve(known: bytes, known_horizon: int, horizon: int) -> bytes:
             if x >= drop:
                 low, drop = _late_sums(g, x, horizon)
             sums = low
-        sums <<= off
+        sums = sums << off if x >= base else sums >> base - x - 1
         two |= one & sums
         one |= sums
     return known + array("q", found).tobytes()
-
-
-def _bits(values, base: int, width: int) -> int:
-    """The values, all in [base, base + width), as a bit set: bit v - base
-    for each value v."""
-    seed = bytearray(((width - 1) >> 3) + 1)
-    for v in values:
-        v -= base
-        seed[v >> 3] |= 1 << (v & 7)
-    return int.from_bytes(seed, "little")
 
 
 def _late_sums(g: int, x: int, horizon: int) -> tuple[int, int]:

@@ -16,7 +16,7 @@ to one congruence class.
 from __future__ import annotations
 
 import json
-import re
+from itertools import compress
 
 from .engine import _class_fault, _Record
 from .errors import PatternParseError, PatternSemanticError, UnboundedPattern
@@ -99,56 +99,54 @@ def in_pattern(code: PatternCode, a: int, b: int, m: int) -> bool:
     return any(_component_contains(c, a, b, m) for c in code.components)
 
 
-def pattern_bits(code: PatternCode, a: int, b: int, lo: int, hi: int) -> int:
-    """The code's points in [lo, hi] at (a, b) as a bit set: bit m - lo is
-    set for each point m. Unbounded components are clipped at hi."""
-    blocks = [(0, 0)]
+def _blocks(code: PatternCode, a: int, b: int, lo: int, hi: int):
+    """(first, last, L) for each (component, s) with a point in [lo, hi] at
+    (a, b): its least and greatest point there and its step. Unbounded
+    components are clipped at hi."""
     for comp in code.components:
         A, B = eval_endpoints(comp, a, b)
         B = hi if B is None else min(B, hi)
         L = comp.L
         for s in comp.S:
             first = A + s + max(0, lo - A - s + L - 1) // L * L
-            if first > B:
-                continue
-            # one point per L bits, doubled up to at least count points and
-            # cut at the last, so no block spans more than twice the window
-            count = (B - first) // L + 1
-            run, n = 1, 1
-            while n < count:
-                run |= run << n * L
-                n *= 2
-            blocks.append((first - lo, run & ((2 << L * (count - 1)) - 1)))
-    # OR neighbours in pairs, from the empty block at 0: each round costs
-    # about one window, where ORing blocks one by one costs one per block
-    blocks.sort()
-    while len(blocks) > 1:
-        pairs = zip(blocks[::2], blocks[1::2])
-        blocks = ([(i, x | y << j - i) for (i, x), (j, y) in pairs]
-                  + blocks[len(blocks) & ~1:])
-    return blocks[0][1]
+            if first <= B:
+                yield first, B - (B - first) % L, L
+
+
+def pattern_mask(code: PatternCode, a: int, b: int, lo: int,
+                 hi: int) -> bytearray:
+    """The code's points in [lo, hi] at (a, b) as a byte per integer: byte
+    m - lo is 1 for each point m, else 0. Each block is one strided write,
+    and its run of ones the only copy beside the mask."""
+    mask = bytearray(max(hi - lo + 1, 0))
+    for first, last, L in _blocks(code, a, b, lo, hi):
+        mask[first - lo:last - lo + 1:L] = b"\x01" * ((last - first) // L + 1)
+    return mask
 
 
 def pattern_set(code: PatternCode, a: int, b: int) -> list[int]:
     """Sorted list of all points of a fully bounded code at (a, b). Costs a
-    bit and a character per integer from the least A to b_max."""
+    byte per integer from the least A to b_max."""
     if code.has_unbounded:
         raise UnboundedPattern("pattern_set requires every component bounded")
-    ends = [eval_endpoints(c, a, b) for c in code.components]
-    lo = min((A for A, B in ends if A <= B), default=0)
-    bits = pattern_bits(code, a, b, lo, max((B for _, B in ends), default=lo))
-    return [lo + one.start() for one in re.finditer("1", bin(bits)[:1:-1])]
+    hi = b_max(code, a, b)
+    if hi is None:
+        return []
+    lo = min(A for A, B in (eval_endpoints(c, a, b) for c in code.components)
+             if A <= B)
+    return list(compress(range(lo, hi + 1), pattern_mask(code, a, b, lo, hi)))
 
 
 def b_max(code: PatternCode, a: int, b: int) -> int | None:
-    """Largest upper endpoint over bounded components.
+    """Largest upper endpoint over the non-empty components (A <= B).
 
-    None when the code is empty or has any unbounded component; in the
-    latter case code.has_unbounded is the distinguishing flag.
+    None when no component is non-empty or any is unbounded; in the latter
+    case code.has_unbounded is the distinguishing flag.
     """
-    if not code.components or code.has_unbounded:
+    if code.has_unbounded:
         return None
-    return max(eval_endpoints(c, a, b)[1] for c in code.components)
+    ends = (eval_endpoints(c, a, b) for c in code.components)
+    return max((B for A, B in ends if A <= B), default=None)
 
 
 def _component_to_obj(comp: PatternComponent) -> dict:
@@ -194,6 +192,8 @@ def decode(text: str) -> PatternCode:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise PatternParseError(f"invalid JSON: {e.msg}", offset=e.pos) from e
+    except RecursionError as e:
+        raise PatternParseError("invalid JSON: nested too deeply") from e
     _require(isinstance(obj, dict), "top level must be an object")
     unknown = set(obj) - {"components", "applicability"}
     _require(not unknown, f"unknown top-level keys {sorted(unknown)}")

@@ -10,10 +10,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING
 
-from .engine import (UlamParams, UlamPrefix, _bits, _check_residue_class,
-                     _Record, _source, validate_params)
+from .engine import (UlamParams, UlamPrefix, _check_residue_class, _Record,
+                     _source, validate_params)
 from .errors import ApplicabilityError, UlamkitError
-from .patterns import PatternCode, code_id, eval_endpoints, pattern_bits
+from .patterns import PatternCode, _blocks, code_id, pattern_mask
 
 if TYPE_CHECKING:
     from .cache import PrefixStore
@@ -46,15 +46,14 @@ def _check_applicability(code: PatternCode, params: UlamParams,
 
 
 def _mismatches(code: PatternCode, prefix: UlamPrefix, lo: int,
-                hi: int) -> tuple[int, int]:
-    """(members, sym): the members in [lo, hi] and the integers there on
-    exactly one side, as bit sets with bit m - lo for m. Both are 0 when
-    lo > hi."""
+                hi: int) -> bytearray:
+    """A byte per integer of [lo, hi]: byte m - lo is 1 when m is on exactly
+    one side, a member or a point of the code. Empty when lo > hi."""
+    mask = pattern_mask(code, prefix.params.a, prefix.params.b, lo, hi)
     terms = prefix.ints
-    members = _bits(terms[bisect_left(terms, lo):bisect_right(terms, hi)],
-                    lo, max(hi - lo + 1, 0))
-    a, b = prefix.params.a, prefix.params.b
-    return members, members ^ pattern_bits(code, a, b, lo, hi)
+    for m in terms[bisect_left(terms, lo):bisect_right(terms, hi)]:
+        mask[m - lo] ^= 1
+    return mask
 
 
 def verify_segment(code: PatternCode, params: UlamParams, N: int, M: int,
@@ -74,23 +73,17 @@ def verify_segment(code: PatternCode, params: UlamParams, N: int, M: int,
     a, b = params.a, params.b
     # No member lies below a, so the least point of the code in [N, a) is
     # the first mismatch. Found per block by arithmetic, it keeps a window
-    # far below 1 from costing a bit per integer.
-    first = M + 1
-    for comp in code.components:
-        A, B = eval_endpoints(comp, a, b)
-        for s in comp.S:
-            m = A + s + max(0, N - A - s + comp.L - 1) // comp.L * comp.L
-            if m < a and (B is None or m <= B):
-                first = min(first, m)
+    # far below 1 from costing a byte per integer.
+    first = min((m for m, _, _ in _blocks(code, a, b, N, min(M, a - 1))),
+                default=None)
     direction = IN_PATTERN_NOT_ULAM
-    if first > M:
+    if first is None:
         base = max(N, a)
-        members, sym = _mismatches(code, prefix, base, M)
-        if not sym:
+        low = _mismatches(code, prefix, base, M).find(1)
+        if low < 0:
             return SegmentReport(a, b, ident, N, M, True, None, M - N + 1)
-        low = (sym & -sym).bit_length() - 1
         first = base + low
-        if members >> low & 1:
+        if prefix.contains(first):
             direction = IN_ULAM_NOT_PATTERN
     return SegmentReport(a, b, ident, N, M, False, (first, direction),
                          first - N)
@@ -110,10 +103,9 @@ def search_threshold(code: PatternCode, params: UlamParams, M: int,
 
 def _threshold(code: PatternCode, prefix: UlamPrefix, M: int) -> int | None:
     """search_threshold over a prefix reaching M."""
-    sym = _mismatches(code, prefix, 0, M)[1]
-    if not sym:
+    last = _mismatches(code, prefix, 0, M).rfind(1)
+    if last < 0:
         return 0
-    last = sym.bit_length() - 1
     return last + 1 if last < M else None
 
 

@@ -553,7 +553,39 @@ def scan_lower_density(prefix, B):
     return bool(np.all(B * counts >= n_arr - a + 1))
 
 
-# The point lists that patterns.pattern_bits replaced.
+# The point lists and the bit set that patterns.pattern_mask replaced. The
+# bit set builds each (component, s) block by doubling runs and merges the
+# blocks in pairs; the point lists step through every point from A.
+
+def pattern_bits(code, a, b, lo, hi):
+    """The code's points in [lo, hi] at (a, b) as a bit set: bit m - lo is
+    set for each point m. Unbounded components are clipped at hi."""
+    blocks = [(0, 0)]
+    for comp in code.components:
+        A, B = eval_endpoints(comp, a, b)
+        B = hi if B is None else min(B, hi)
+        L = comp.L
+        for s in comp.S:
+            first = A + s + max(0, lo - A - s + L - 1) // L * L
+            if first > B:
+                continue
+            # one point per L bits, doubled up to at least count points and
+            # cut at the last, so no block spans more than twice the window
+            count = (B - first) // L + 1
+            run, n = 1, 1
+            while n < count:
+                run |= run << n * L
+                n *= 2
+            blocks.append((first - lo, run & ((2 << L * (count - 1)) - 1)))
+    # OR neighbours in pairs, from the empty block at 0: each round costs
+    # about one window, where ORing blocks one by one costs one per block
+    blocks.sort()
+    while len(blocks) > 1:
+        pairs = zip(blocks[::2], blocks[1::2])
+        blocks = ([(i, x | y << j - i) for (i, x), (j, y) in pairs]
+                  + blocks[len(blocks) & ~1:])
+    return blocks[0][1]
+
 
 def component_points(comp, a, b, lo=None, hi=None):
     """All points of one component, optionally clipped to [lo, hi].

@@ -682,6 +682,23 @@ class TestErrorMapping:
                            "--code", "{not json", "--lo", "1", "--hi", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        ("verify-pattern", "--a", "1", "--b", "2", "--lo", "1", "--hi", "10"),
+        ("sweep", "--modulus", "1", "--residue", "0", "--n-from", "4",
+         "--n-to", "5", "--seg-c", "5", "--seg-d", "-1")],
+        ids=["verify-pattern", "sweep"])
+    @pytest.mark.parametrize("data, message", [
+        (b'{"components":\xff]}', "not UTF-8: byte 14"),
+        (b"[" * 200_000, "nested too deeply")], ids=["latin-1", "deep"])
+    def test_malformed_code_file(self, capsys, tmp_path, command, data,
+                                 message):
+        # exit 1 is a negative verdict; a code that does not parse is exit 2
+        path = tmp_path / "code.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, *command, "--code", f"@{path}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
     def test_bad_fraction(self, capsys):
         code, _, err = run(capsys, "density-check", "--a", "1", "--b", "2",
                            "--q", "abc", "--k", "1", "--n-max", "10")

@@ -106,6 +106,12 @@ class TestBMax:
         code = PatternCode((PatternComponent(q=49), PatternComponent(q=107)))
         assert patterns.b_max(code, 1, 10) == 107
 
+    def test_empty_components_ignored(self):
+        empty = PatternComponent(p=100, q=50)
+        assert patterns.b_max(PatternCode((empty,)), 1, 10) is None
+        code = PatternCode((PatternComponent(q=49), empty))
+        assert patterns.b_max(code, 1, 10) == 49
+
     def test_unbounded_flagged(self):
         code = PatternCode((BLOCK, PatternComponent(unbounded=True)))
         assert patterns.b_max(code, 1, 10) is None
@@ -159,6 +165,10 @@ class TestCodec:
         with pytest.raises(PatternParseError) as ei:
             patterns.decode('{"components":[')
         assert ei.value.offset is not None
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(PatternParseError, match="nested too deeply"):
+            patterns.decode("[" * 200_000)
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(PatternSemanticError):

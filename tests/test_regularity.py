@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (naive_detect_period, naive_ulam, reconstruct_term,
-                     scan_density_check, scan_lower_density, vector_gaps,
-                     vector_residue_census)
+from oracles import (naive_detect_period, naive_runs, naive_ulam,
+                     reconstruct_term, scan_density_check, scan_lower_density,
+                     vector_gaps, vector_residue_census)
 from ulamkit import engine, progressions, regularity
 from ulamkit.errors import InvalidParameters
-from ulamkit.patterns import PatternCode, PatternComponent
+from ulamkit.patterns import PatternCode, PatternComponent, pattern_set
 from ulamkit.regularity import REFUTED, UNKNOWN, VERIFIED
 
 
@@ -339,6 +339,20 @@ class TestHierarchy:
         assert rep.statuses["R1"] == VERIFIED
         # last member below the block is 40, so agreement starts at 41
         assert rep.witnesses["r1_threshold"] == 41
+
+    def test_empty_component_leaves_r1_alone(self):
+        # p = 100 > q = 50 holds no point; its upper endpoint once clipped
+        # the range at 50, so members 36 to 48 moved the threshold to 49
+        terms = naive_ulam(1, 2, 28)
+        code = PatternCode(tuple(PatternComponent(p=lo, q=hi)
+                                 for lo, hi in naive_runs(terms)))
+        empty = PatternCode(code.components + (PatternComponent(p=100, q=50),))
+        p = prefix(1, 2, 200)
+        assert pattern_set(empty, 1, 2) == pattern_set(code, 1, 2) == terms
+        for c in (code, empty):
+            rep = regularity.hierarchy_report(params(1, 2), c, None, p)
+            assert rep.statuses["R1"] == VERIFIED
+            assert rep.witnesses["r1_threshold"] == 0
 
     def test_refuting_code(self):
         # 49 is a member but not in the code, so the mismatch sits at the

@@ -8,10 +8,10 @@ from ulamkit import engine, rigidity
 from ulamkit.errors import ApplicabilityError, InvalidParameters
 from ulamkit.patterns import (Applicability, PatternCode, PatternComponent,
                               b_max, code_id, eval_endpoints, in_pattern,
-                              pattern_bits, pattern_set)
+                              pattern_mask, pattern_set)
 
-from oracles import (naive_runs, naive_ulam, point_set, random_code,
-                     setxor_first_mismatch, setxor_threshold)
+from oracles import (naive_runs, naive_ulam, pattern_bits, point_set,
+                     random_code, setxor_first_mismatch, setxor_threshold)
 
 BLOCK = PatternComponent(A1=0, A2=4, B1=0, B2=5, p=2, q=-1)
 BLOCK_CODE = PatternCode((BLOCK,))
@@ -168,7 +168,7 @@ def test_matches_setxor_reference(seed, pair, N, M):
 
 
 def test_random_codes_draw_masks_and_unbounded_components():
-    # the generator the bit-set tests below draw from covers both shapes
+    # the generator the mask tests below draw from covers both shapes
     comps = [c for seed in range(50)
              for c in random_code(random.Random(seed)).components]
     assert any(c.L > 1 and 0 < len(c.S) < c.L for c in comps)
@@ -181,7 +181,7 @@ def test_random_codes_draw_masks_and_unbounded_components():
 @settings(max_examples=120, deadline=None)
 def test_bit_sets_match_point_oracle_and_scan(seed, pair, anchor, below, above):
     # windows start below 1 or below the least A and end above b_max, so
-    # every clip of pattern_bits and _mismatches is crossed
+    # every clip of pattern_mask and _mismatches is crossed
     code = random_code(random.Random(seed))
     a, b = pair
     ends = [eval_endpoints(c, a, b) for c in code.components]
@@ -196,8 +196,11 @@ def test_bit_sets_match_point_oracle_and_scan(seed, pair, anchor, below, above):
         return [m for m in range(lo, hi + 1)
                 if (m in members) != in_pattern(code, a, b, m)]
 
-    assert pattern_bits(code, a, b, N, M) == sum(
-        1 << m - N for m in point_set(code, a, b, N, M))
+    mask = pattern_mask(code, a, b, N, M)
+    assert mask == bytearray(m in point_set(code, a, b, N, M)
+                             for m in range(N, M + 1))
+    assert sum(1 << i for i, v in enumerate(mask) if v) == pattern_bits(
+        code, a, b, N, M)
     sym = scan(N, M)
     assert sym == sorted(members & set(range(N, M + 1))
                          ^ point_set(code, a, b, N, M))
@@ -222,24 +225,19 @@ def test_bit_sets_match_point_oracle_and_scan(seed, pair, anchor, below, above):
 
 
 def cap_windows(monkeypatch, limit=10**4):
-    """Fail, before anything is allocated, on a bit set wider than limit."""
-    bits, pbits = rigidity._bits, rigidity.pattern_bits
+    """Fail, before anything is allocated, on a mask wider than limit."""
+    mask = rigidity.pattern_mask
 
-    def capped_bits(values, base, width):
-        assert width <= limit
-        return bits(values, base, width)
-
-    def capped_pattern_bits(code, a, b, lo, hi):
+    def capped_mask(code, a, b, lo, hi):
         assert hi - lo < limit
-        return pbits(code, a, b, lo, hi)
+        return mask(code, a, b, lo, hi)
 
-    monkeypatch.setattr(rigidity, "_bits", capped_bits)
-    monkeypatch.setattr(rigidity, "pattern_bits", capped_pattern_bits)
+    monkeypatch.setattr(rigidity, "pattern_mask", capped_mask)
 
 
 def test_window_far_below_one_costs_its_points(monkeypatch):
     # no member lies below a and no point below its component's A, so the
-    # bit sets start at 1; a component that is empty far below changes
+    # masks start at 1; a component that is empty far below changes
     # nothing
     runs = naive_runs(naive_ulam(1, 20, 599))
     code = PatternCode(tuple(PatternComponent(p=lo, q=hi) for lo, hi in runs)
@@ -257,7 +255,7 @@ def test_window_far_below_one_costs_its_points(monkeypatch):
 
 def test_point_far_below_one_is_found_by_arithmetic(monkeypatch):
     # a point of the code below a is a mismatch whatever the members are,
-    # so the least one is the report and no bit set reaches down to it
+    # so the least one is the report and no mask reaches down to it
     far = -10**12
     p = params(1, 2)
     prefix = engine.generate_to_horizon(p, 10)
@@ -274,8 +272,31 @@ def test_point_far_below_one_is_found_by_arithmetic(monkeypatch):
             code, prefix, 10)
 
 
+def test_many_one_point_components_and_a_masked_tail():
+    # a component per term, as ap_to_pattern_code starts its set, then a
+    # periodic tail that agrees with the members only here and there
+    p = params(1, 2)
+    prefix = engine.generate_to_horizon(p, 25_000)
+    head = prefix.term_list()[:1500]
+    tail = PatternComponent(p=head[-1] + 1, L=7, S=frozenset({0, 3}),
+                            unbounded=True)
+    code = PatternCode(tuple(PatternComponent(p=t, q=t) for t in head)
+                       + (tail,))
+    for N, M in [(1, head[-1]), (-50, 25_000), (head[-1] - 99, 20_000),
+                 (head[700], head[-1] + 40)]:
+        r = rigidity.verify_segment(code, p, N, M)
+        expected = setxor_first_mismatch(code, prefix, N, M)
+        first = None if expected is None else (expected[0], (
+            rigidity.IN_ULAM_NOT_PATTERN if expected[1]
+            else rigidity.IN_PATTERN_NOT_ULAM))
+        assert (r.agrees, r.first_mismatch) == (expected is None, first)
+        assert rigidity._threshold(code, prefix, M) == setxor_threshold(
+            code, prefix, M)
+    assert rigidity.verify_segment(code, p, 1, head[-1]).agrees
+
+
 def test_huge_mask_period_costs_its_points(monkeypatch):
-    # one point per s at L = 10**12 is one bit, never a 2**L-bit block
+    # one point per s at L = 10**12 is one byte, never an L-byte block
     L = 10**12
     bounded = PatternComponent(p=3, q=5000, L=L, S=frozenset({0, 5, L - 1}))
     code = PatternCode((bounded, PatternComponent(
