@@ -1,18 +1,19 @@
 """Time the two sieve kernels and derive the bit-plane threshold.
 
 `engine._sieve` runs the bit planes up to `engine._BITS_MAX_HORIZON` and the
-byte tables above it. The threshold is the largest power of two at which
-the bit planes beat `import numpy` plus the byte tables in fresh processes
-for every pair measured: a `ulam` command that sieves pays numpy's import
+byte tables above it. The threshold is the largest measured horizon at
+which the bit planes beat `import numpy` plus the byte tables in fresh
+processes for every pair: a `ulam` command that sieves pays numpy's import
 only on the byte side.
 
-For U(1,2), U(1,3), U(2,5), U(1,1000) and U(1,5000) at 2^14 to 2^20 this
-script times, in fresh interpreters run alternately, `engine._byte_sieve`
-(which imports numpy) against `engine._bit_sieve` (the interpreter and
-`ulamkit` start-up, equal on both sides, are left out), and, in this process
-with numpy loaded, the best of 5 runs of each kernel. It writes the
-timings, the host and the derived threshold to a JSON file and prints the
-README table (ms, byte / bit, the faster fresh side in bold):
+For U(1,2), U(1,3), U(2,5), U(1,1000) and U(1,5000) at the powers of two
+2^14 to 2^20, and at 5·2^16, 3·2^17 and 7·2^16 inside the octave where the
+kernels cross, this script times, in fresh interpreters run alternately,
+`engine._byte_sieve` (which imports numpy) against `engine._bit_sieve` (the
+interpreter and `ulamkit` start-up, equal on both sides, are left out),
+and, in this process with numpy loaded, the best of 5 runs of each kernel.
+It writes the timings, the host and the derived threshold to a JSON file
+and prints the README table (ms, byte / bit, the faster fresh side in bold):
 
     python3 scripts/kernel_threshold.py [--runs 5] [--out BENCH_kernels.json]
 
@@ -34,7 +35,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 PAIRS = [(1, 2), (1, 3), (2, 5), (1, 1000), (1, 5000)]
-HORIZONS = [1 << e for e in range(14, 21)]
+HORIZONS = sorted([1 << e for e in range(14, 21)]
+                  + [5 << 16, 3 << 17, 7 << 16])
 KERNELS = ("byte", "bit")
 
 # One sieve from the seeds in a fresh interpreter; prints its seconds.
@@ -119,18 +121,24 @@ def measure(runs):
     return rows
 
 
+def label(horizon):
+    """The horizon as odd·2^e, such as 2^18 or 5·2^16."""
+    e = (horizon & -horizon).bit_length() - 1
+    odd = horizon >> e
+    return f"2^{e}" if odd == 1 else f"{odd}·2^{e}"
+
+
 def table(rows):
     """The README table: byte / bit in ms, one column per horizon."""
     by_key = {(tuple(r["pair"]), r["horizon"]): r for r in rows}
-    lines = ["| build | " + " | ".join(f"2^{h.bit_length() - 1}"
-                                        for h in HORIZONS) + " |",
+    lines = ["| build | " + " | ".join(map(label, HORIZONS)) + " |",
              "| --- |" + " --- |" * len(HORIZONS)]
-    for label in ("fresh", "one process"):
+    for kind in ("fresh", "one process"):
         for a, b in PAIRS:
             cells = []
             for h in HORIZONS:
                 row = by_key[(a, b), h]
-                if label == "fresh":
+                if kind == "fresh":
                     byte = row["fresh_byte_median_ms"]
                     bit = row["fresh_bit_median_ms"]
                     cells.append(f"{byte:.0f} / **{bit:.0f}**" if bit < byte
@@ -138,7 +146,7 @@ def table(rows):
                 else:
                     cells.append(f"{row['one_process_byte_ms']:.1f} / "
                                  f"{row['one_process_bit_ms']:.1f}")
-            lines.append(f"| U({a},{b}), {label} | " + " | ".join(cells) + " |")
+            lines.append(f"| U({a},{b}), {kind} | " + " | ".join(cells) + " |")
     return "\n".join(lines)
 
 

@@ -35,15 +35,15 @@ if TYPE_CHECKING:
 # Default resource guard. Above _BITS_MAX_HORIZON a sieve to horizon H holds
 # two (H+1)-byte tables and 8 bytes per term: about 2 bytes per integer,
 # 100 MB at this limit. Up to it each bit plane takes at most H/16 bytes
-# plus 1 kB, the indicator g and its cut `low` about H/16 bytes each (16 kB
-# at 2^18), and each term found about 40 bytes until the sieve returns.
+# plus 1 kB, the indicator g and its cut `low` about H/16 bytes each (24 kB
+# at 3·2^17), and each term found about 40 bytes until the sieve returns.
 MAX_HORIZON_DEFAULT = 50_000_000
 
-# The largest horizon sieved on bit planes: the largest power of two at
-# which they beat the byte tables plus numpy's import in fresh processes for
-# every pair that scripts/kernel_threshold.py measures (README,
-# "Performance"; BENCH_kernels.json).
-_BITS_MAX_HORIZON = 1 << 18
+# The largest horizon sieved on bit planes, 3·2^17 = 393,216: the largest
+# horizon that scripts/kernel_threshold.py measures at which they beat the
+# byte tables plus numpy's import in fresh processes for every pair
+# (README, "Performance"; BENCH_kernels.json).
+_BITS_MAX_HORIZON = 3 << 17
 
 # Values are validated against this so every int64 pair sum stays exact.
 _VALUE_LIMIT = 1 << 62
@@ -409,7 +409,7 @@ def extend(prefix: UlamPrefix, new_horizon: int,
 def generate_count(params: UlamParams, k: int,
                    max_horizon: int = MAX_HORIZON_DEFAULT) -> UlamPrefix:
     """A prefix holding at least the first k terms: PrefixStore().get_count
-    at this cap, whose horizon doubles from b."""
+    at this cap, which grows the horizon from b."""
     from .cache import PrefixStore  # cache imports this module
 
     return PrefixStore(None, max_horizon).get_count(params, k)

@@ -129,24 +129,31 @@ def pattern_set(code: PatternCode, a: int, b: int) -> list[int]:
     byte per integer from the least A to b_max."""
     if code.has_unbounded:
         raise UnboundedPattern("pattern_set requires every component bounded")
-    hi = b_max(code, a, b)
-    if hi is None:
+    ends = list(_holding_ends(code, a, b))
+    if not ends:
         return []
-    lo = min(A for A, B in (eval_endpoints(c, a, b) for c in code.components)
-             if A <= B)
+    lo, hi = min(A for A, _ in ends), max(B for _, B in ends)
     return list(compress(range(lo, hi + 1), pattern_mask(code, a, b, lo, hi)))
 
 
-def b_max(code: PatternCode, a: int, b: int) -> int | None:
-    """Largest upper endpoint over the non-empty components (A <= B).
+def _holding_ends(code: PatternCode, a: int, b: int):
+    """(A, B) at (a, b) of each component of a fully bounded code that
+    holds a point: its mask is not empty and A + min(S) <= B."""
+    for comp in code.components:
+        A, B = eval_endpoints(comp, a, b)
+        if comp.S and A + min(comp.S) <= B:
+            yield A, B
 
-    None when no component is non-empty or any is unbounded; in the latter
+
+def b_max(code: PatternCode, a: int, b: int) -> int | None:
+    """Largest upper endpoint over the components that hold a point.
+
+    None when no component holds one or any is unbounded; in the latter
     case code.has_unbounded is the distinguishing flag.
     """
     if code.has_unbounded:
         return None
-    ends = (eval_endpoints(c, a, b) for c in code.components)
-    return max((B for A, B in ends if A <= B), default=None)
+    return max((B for _, B in _holding_ends(code, a, b)), default=None)
 
 
 def _component_to_obj(comp: PatternComponent) -> dict:

@@ -6,6 +6,7 @@ must agree with these bit for bit on small inputs.
 """
 
 import json
+import math
 import re
 import struct
 import zlib
@@ -205,13 +206,14 @@ def trailing_bit_sieve(known, known_horizon, horizon):
     return known + array("q", found).tobytes()
 
 
-def grow_to_count(params, k, max_horizon=MAX_HORIZON_DEFAULT):
-    """generate_count from before it went through PrefixStore: the prefix
-    to b, extended to twice its horizon (capped at max_horizon) until it
-    holds k terms. At the cap the error keeps the prefix as `partial`."""
+def grow_to_count(params, k, max_horizon=MAX_HORIZON_DEFAULT, start=None):
+    """The count query that doubles: the prefix `start`, or the one to b,
+    extended to twice its horizon (capped at max_horizon) until it holds k
+    terms. At the cap the error keeps the prefix as `partial`."""
     if k < 1:
         raise InvalidParameters(f"k must be positive, got {k}")
-    prefix = generate_to_horizon(params, params.b, max_horizon)
+    prefix = (generate_to_horizon(params, params.b, max_horizon)
+              if start is None else start)
     while len(prefix) < k:
         if prefix.horizon >= max_horizon:
             raise HorizonTooLarge(2 * prefix.horizon, max_horizon,
@@ -219,6 +221,47 @@ def grow_to_count(params, k, max_horizon=MAX_HORIZON_DEFAULT):
         prefix = extend(prefix, min(2 * prefix.horizon, max_horizon),
                         max_horizon)
     return prefix
+
+
+def fixed_point_fault(terms, a, b, H):
+    """The least m in [1, H] at which the sorted terms, a set C inside
+    [1, H], differ from U(a, b), or None when C = U(a, b) on [1, H].
+
+    No sieve is involved. C equals U(a, b) on [1, H] iff C meets [1, b] in
+    {a, b} and each m in (b, H] lies in C exactly when r_C(m) = 1, where
+    r_C(m) counts the pairs x < y in C with x + y = m. A pair summing to m
+    uses only smaller numbers, so by induction on m the least m that breaks
+    this rule is the first place where C and U(a, b) differ.
+
+    One self-convolution of C's indicator gives every r_C(m): it counts
+    ordered pairs, x = y included. It is a float64 FFT of length n = 2^k.
+    Percival's a-priori bound (Math. Comp. 72 (2003)) on the error of each
+    value is ||f||^2 ((1+e)^3k (1+e*sqrt 5)^(3k+1) (1+t)^3k - 1), with
+    ||f||^2 = |C|, e = 2^-53 and t = e the error of a computed root of
+    unity; it must be below 1/2 before the values are rounded.
+    """
+    assert 1 <= a < b <= H
+    arr = np.asarray(terms, dtype=np.int64)
+    assert arr.size == 0 or 1 <= arr[0] and arr[-1] <= H
+    assert np.all(np.diff(arr) > 0)
+    n = 1 << (2 * H).bit_length()  # no sum up to 2H wraps round
+    k = n.bit_length() - 1
+    e = 2.0 ** -53
+    bound = arr.size * math.expm1(
+        3 * k * math.log1p(e) + (3 * k + 1) * math.log1p(e * math.sqrt(5))
+        + 3 * k * math.log1p(e))
+    assert bound < 0.5, f"FFT error bound {bound} is not below 1/2"
+    f = np.zeros(n)
+    f[arr] = 1
+    spectrum = np.fft.fft(f)
+    ordered = np.rint(np.fft.ifft(spectrum * spectrum).real[:H + 1])
+    ordered = ordered.astype(np.int64)
+    ordered[::2] -= f[:H // 2 + 1].astype(np.int64)  # now 2 r_C(m)
+    want = ordered == 2
+    # up to the least fault m <= b, C holds at most a below m, so r_C(m) = 0
+    want[[a, b]] = True
+    bad = np.flatnonzero(want[1:] != (f[1:H + 1] == 1))
+    return int(bad[0]) + 1 if bad.size else None
 
 
 def rep_table(terms, horizon):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ulamkit.cache
@@ -401,13 +401,13 @@ def assert_direct(prefix, params, horizon):
     assert prefix.term_list() == naive_ulam(params.a, params.b, horizon)
 
 
-def assert_count(prefix, params, k):
-    """The first k terms are the doubling oracle's, and the whole prefix is
-    direct generation at its own horizon."""
-    want = grow_to_count(params, k)
+def assert_count(prefix, params, k, start=None):
+    """The prefix is direct generation at its own horizon and holds at
+    least k terms, and the doubling oracle, from `start` or from b, reaches
+    at least as far."""
     assert len(prefix) >= k
-    assert prefix.ints[:k] == want.ints[:k]
     assert_direct(prefix, params, prefix.horizon)
+    assert prefix.horizon <= grow_to_count(params, k, start=start).horizon
 
 
 class TestPrefixStore:
@@ -444,18 +444,17 @@ class TestPrefixStore:
         params = validate_params(a, b)
         store = PrefixStore(tmp_path)
         path = cache_path(tmp_path, params)
-        # miss: exactly the doubling oracle's prefix
-        got = store.get_count(params, 20)
-        want = grow_to_count(params, 20)
-        assert got.horizon == want.horizon
+        got = store.get_count(params, 20)                       # miss
         assert_count(got, params, 20)
-        assert writes == [want.horizon]
+        assert writes == [got.horizon]
         stored = path.read_bytes()
-        assert_count(store.get_count(params, 5), params, 5)     # hit
-        assert writes == [want.horizon] and path.read_bytes() == stored
-        grown = store.get_count(params, 60)                     # count growth
-        assert_count(grown, params, 60)
-        assert writes == [want.horizon, grown.horizon]
+        hit = store.get_count(params, 5)                        # hit
+        assert hit.horizon == got.horizon
+        assert_count(hit, params, 5, start=got)
+        assert writes == [got.horizon] and path.read_bytes() == stored
+        grown = store.get_count(params, 60)                     # extend
+        assert_count(grown, params, 60, start=got)
+        assert writes == [got.horizon, grown.horizon]
         path.write_bytes(b"garbage")
         assert_count(store.get_count(params, 10), params, 10)   # corrupt
         assert len(writes) == 3
@@ -465,11 +464,58 @@ class TestPrefixStore:
     def test_get_count_without_directory(self, writes, a, b):
         params = validate_params(a, b)
         for k in (1, 2, 3, 40):
-            got = PrefixStore().get_count(params, k)
-            want = grow_to_count(params, k)
-            assert got.horizon == want.horizon
-            assert_count(got, params, k)
+            assert_count(PrefixStore().get_count(params, k), params, k)
         assert writes == []
+
+    def test_one_extension_reaches_the_count(self, tmp_path, monkeypatch,
+                                             writes):
+        # a U(1,2) prefix cached to 180,000 holds 60% of 22,000 terms, and
+        # its density puts the last of them close enough for one step
+        params = validate_params(1, 2)
+        cached = generate_to_horizon(params, 180_000)
+        cache_write(cached, cache_path(tmp_path, params))
+        steps = []
+        real = ulamkit.cache.extend
+
+        def recording(prefix, horizon, max_horizon):
+            steps.append(horizon)
+            return real(prefix, horizon, max_horizon)
+        monkeypatch.setattr(ulamkit.cache, "extend", recording)
+        got = PrefixStore(tmp_path).get_count(params, 22_000)
+        assert steps == writes == [got.horizon]
+        assert len(got) >= 22_000
+        assert got.ints == generate_to_horizon(params, got.horizon).ints
+        assert got.horizon < grow_to_count(params, 22_000,
+                                           start=cached).horizon
+
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(STORE_PAIRS), st.integers(0, 400),
+           st.integers(1, 300), st.integers(5, 1500))
+    def test_count_cap_as_doubling(self, tmp_path, pair, start, k, cap):
+        # at the cap the error is the doubling oracle's, with the prefix
+        # at the cap as `partial`; below it the count stops no later
+        params = validate_params(*pair)
+        cap = max(cap, params.b)
+        cached = None
+        if params.b <= start <= cap:
+            cached = generate_to_horizon(params, start)
+            cache_write(cached, cache_path(tmp_path, params))
+        else:
+            cache_path(tmp_path, params).unlink(missing_ok=True)
+        store = PrefixStore(tmp_path, max_horizon=cap)
+        try:
+            want = grow_to_count(params, k, cap, start=cached)
+        except HorizonTooLarge as direct:
+            with pytest.raises(HorizonTooLarge) as exc:
+                store.get_count(params, k)
+            assert str(exc.value) == str(direct)
+            assert exc.value.partial.horizon == cap
+            assert exc.value.partial.ints == direct.partial.ints
+        else:
+            got = store.get_count(params, k)
+            assert len(got) >= k and got.horizon <= want.horizon
+            assert got.ints == generate_to_horizon(params, got.horizon).ints
 
     def test_mismatched_file_is_regenerated(self, tmp_path, writes):
         params = validate_params(1, 2)

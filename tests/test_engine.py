@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from ulamkit import engine
 from ulamkit.errors import HorizonTooLarge, InsufficientHorizon, InvalidParameters
 
-from oracles import (grow_to_count, naive_rep_count, naive_ulam, rep_table,
-                     scatter_extend, scatter_generate, shifting_bit_sieve,
-                     trailing_bit_sieve)
+from oracles import (fixed_point_fault, grow_to_count, naive_rep_count,
+                     naive_ulam, rep_table, scatter_extend, scatter_generate,
+                     shifting_bit_sieve, trailing_bit_sieve)
 
 U12_PREFIX = [1, 2, 3, 4, 6, 8, 11, 13, 16, 18, 26, 28]
 # frozen from the brute-force oracle
@@ -523,9 +523,9 @@ def test_extend_across_a_lowered_threshold(monkeypatch, pair, threshold, data):
 
 @pytest.mark.parametrize("a, b", [(1, 2), (2, 5)])
 def test_count_doubling_across_the_kernel_threshold(a, b):
-    # generate_count doubles from b: bit kernel up to the threshold, then
-    # the byte kernel for the first term above it; checked as across the
-    # threshold above
+    # generate_count grows from b, doubling until the density estimate
+    # binds: bit kernel up to the threshold, then the byte kernel for the
+    # first term above it; checked as across the threshold above
     threshold = engine._BITS_MAX_HORIZON
     k = len(engine.generate_to_horizon(params(a, b), threshold)) + 1
     p = engine.generate_count(params(a, b), k)
@@ -547,6 +547,52 @@ def test_threshold_is_the_recorded_crossover():
     record = json.loads((root / "BENCH_kernels.json").read_text())
     assert script.threshold(record["rows"]) == record["threshold"]
     assert record["threshold"] == engine._BITS_MAX_HORIZON
+
+
+@settings(deadline=None, max_examples=25)
+@given(WIDE_PAIRS, st.integers(40, 10_000))
+@example(pair=(1, 2), horizon=10_000)
+def test_fixed_point_oracle_agrees_with_naive(pair, horizon):
+    a, b = pair
+    horizon = max(horizon, b)
+    assert fixed_point_fault(naive_ulam(a, b, horizon), a, b, horizon) is None
+
+
+@settings(deadline=None, max_examples=60)
+@given(WIDE_PAIRS, st.integers(100, 3000),
+       st.sampled_from(["drop", "add", "up", "down"]), st.data())
+def test_fixed_point_oracle_finds_the_first_fault(pair, horizon, change, data):
+    # a dropped term, an added non-term or a term moved by 1 is the first
+    # fault: below it the set is the sequence
+    a, b = pair
+    terms = engine.generate_to_horizon(params(a, b), horizon).term_list()
+    members = set(terms)
+    if change == "drop":
+        fault = data.draw(st.sampled_from(terms), label="dropped")
+        changed = members - {fault}
+    elif change == "add":
+        fault = data.draw(st.integers(1, horizon).filter(
+            lambda m: m not in members), label="added")
+        changed = members | {fault}
+    else:
+        step = 1 if change == "up" else -1
+        t = data.draw(st.sampled_from([t for t in terms
+                                       if 1 <= t + step <= horizon
+                                       and t + step not in members]),
+                      label="moved")
+        fault = min(t, t + step)
+        changed = members - {t} | {t + step}
+    assert fixed_point_fault(sorted(changed), a, b, horizon) == fault
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (1, 3), (2, 5), (1, 1000),
+                                  (1, 5000)])
+def test_bit_planes_at_the_threshold_pass_the_fixed_point_oracle(a, b):
+    # the pairs scripts/kernel_threshold.py times, at the largest horizon
+    # the bit planes sieve; above 2^18 only the byte tables sieved before
+    horizon = engine._BITS_MAX_HORIZON
+    terms = engine.generate_to_horizon(params(a, b), horizon).term_list()
+    assert fixed_point_fault(terms, a, b, horizon) is None
 
 
 @settings(deadline=None, max_examples=40)

@@ -235,6 +235,22 @@ class TestNumpyOnlyToSieve:
         loaded = self.extend(tmp_path, ulamkit.engine._BITS_MAX_HORIZON + 1)
         assert loaded["numpy"] is True
 
+    def test_nth_on_a_cached_prefix_skips_numpy(self, tmp_path):
+        # the benchmark's count query: from a U(1,2) prefix cached to
+        # 180,000, the 22,000th term lies below the threshold, and the
+        # extension stops there instead of doubling past it
+        cache = tmp_path / "cache"
+        start = run_module("generate", "--a", "1", "--b", "2", "--horizon",
+                           "180000", "--cache-dir", str(cache))
+        assert start.returncode == 0 and start.stderr == ""
+        proc, loaded = probe(tmp_path, "nth", "--a", "1", "--b", "2",
+                             "--k", "22000", "--cache-dir", str(cache))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == "295318\n"
+        horizon = ulamkit.cache_read(cache / "u1_2.ulam").horizon
+        assert 295_318 <= horizon <= ulamkit.engine._BITS_MAX_HORIZON
+        assert "numpy" not in loaded
+
 
 # The benchmark's family sweep: U(1, n) checked on [1, 30n - 1], mined from
 # n = 6, 7, 8, verified near n = 1000 and swept up to n = 161.

@@ -107,10 +107,14 @@ class TestBMax:
         assert patterns.b_max(code, 1, 10) == 107
 
     def test_empty_components_ignored(self):
-        empty = PatternComponent(p=100, q=50)
-        assert patterns.b_max(PatternCode((empty,)), 1, 10) is None
-        code = PatternCode((PatternComponent(q=49), empty))
-        assert patterns.b_max(code, 1, 10) == 49
+        # A > B; A <= B with the masked point A + 99 past B; an empty mask
+        for empty in (PatternComponent(p=100, q=50),
+                      PatternComponent(p=30, q=50, L=100, S=frozenset({99})),
+                      PatternComponent(p=30, q=50, S=frozenset())):
+            assert patterns.b_max(PatternCode((empty,)), 1, 10) is None
+            code = PatternCode((PatternComponent(q=49), empty))
+            assert patterns.b_max(code, 1, 10) == 49
+            assert patterns.pattern_set(code, 1, 10) == list(range(50))
 
     def test_unbounded_flagged(self):
         code = PatternCode((BLOCK, PatternComponent(unbounded=True)))

@@ -341,15 +341,22 @@ class TestHierarchy:
         assert rep.witnesses["r1_threshold"] == 41
 
     def test_empty_component_leaves_r1_alone(self):
-        # p = 100 > q = 50 holds no point; its upper endpoint once clipped
-        # the range at 50, so members 36 to 48 moved the threshold to 49
+        # each added component holds no point: p = 100 > q = 50, the least
+        # masked point 129 past q = 50, or an empty mask. Its upper endpoint
+        # once clipped the range at 50, so members 36 to 48 moved the
+        # threshold to 49
         terms = naive_ulam(1, 2, 28)
         code = PatternCode(tuple(PatternComponent(p=lo, q=hi)
                                  for lo, hi in naive_runs(terms)))
-        empty = PatternCode(code.components + (PatternComponent(p=100, q=50),))
+        pointless = [PatternComponent(p=100, q=50),
+                     PatternComponent(p=30, q=50, L=100, S=frozenset({99})),
+                     PatternComponent(p=30, q=50, S=frozenset())]
+        codes = [code, *(PatternCode(code.components + (c,))
+                         for c in pointless),
+                 PatternCode(code.components + tuple(pointless[1:]))]
         p = prefix(1, 2, 200)
-        assert pattern_set(empty, 1, 2) == pattern_set(code, 1, 2) == terms
-        for c in (code, empty):
+        for c in codes:
+            assert pattern_set(c, 1, 2) == terms
             rep = regularity.hierarchy_report(params(1, 2), c, None, p)
             assert rep.statuses["R1"] == VERIFIED
             assert rep.witnesses["r1_threshold"] == 0
