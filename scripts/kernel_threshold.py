@@ -15,9 +15,10 @@ and, in this process with numpy loaded, the best of 5 runs of each kernel.
 It writes the timings, the host and the derived threshold to a JSON file
 and prints the README table (ms, byte / bit, the faster fresh side in bold):
 
-    python3 scripts/kernel_threshold.py [--runs 5] [--out BENCH_kernels.json]
+    python3 scripts/kernel_threshold.py [--runs 15] [--out BENCH_kernels.json]
 
-It takes about ten minutes on a 2-vCPU host, most of it in the 2^20 sieves.
+It takes about twenty minutes on a 2-vCPU host, most of it in the 2^20
+sieves.
 """
 
 import argparse
@@ -152,7 +153,7 @@ def table(rows):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=5,
+    parser.add_argument("--runs", type=int, default=15,
                         help="fresh processes per kernel, pair and horizon")
     parser.add_argument("--out", default=str(ROOT / "BENCH_kernels.json"))
     args = parser.parse_args(argv)

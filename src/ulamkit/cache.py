@@ -188,20 +188,23 @@ class PrefixStore:
 
     def get_count(self, params: UlamParams, k: int) -> UlamPrefix:
         """A prefix holding at least the first k terms. From b, or from the
-        cached horizon h, each step goes to where the prefix's own density
-        puts the k-th term, ceil(h*k / len), plus 1/_COUNT_MARGIN of that;
-        at most to 2h and to max_horizon. At max_horizon the error keeps
-        the prefix as `partial`."""
+        cached horizon, h0, each step from h goes to where the prefix's own
+        density puts the k-th term, ceil(h*k / len), plus 1/_COUNT_MARGIN
+        of that; at most to the next of h0, 2·h0, 4·h0, ... above h, where
+        doubling would stop, and to max_horizon. At max_horizon the error
+        keeps the prefix as `partial`."""
         if k < 1:
             raise InvalidParameters(f"k must be positive, got {k}")
         path, cached = self._load(params)
         prefix = (generate_to_horizon(params, params.b, self.max_horizon)
                   if cached is None else cached)
+        h0 = prefix.horizon
         while len(prefix) < k and prefix.horizon < self.max_horizon:
             h = prefix.horizon
             estimate = -(-h * k // len(prefix))
             prefix = extend(prefix, min(estimate + estimate // _COUNT_MARGIN,
-                                        2 * h, self.max_horizon),
+                                        h0 << (h // h0).bit_length(),
+                                        self.max_horizon),
                             self.max_horizon)
         if prefix is not cached:
             self._save(path, prefix)

@@ -35,15 +35,15 @@ if TYPE_CHECKING:
 # Default resource guard. Above _BITS_MAX_HORIZON a sieve to horizon H holds
 # two (H+1)-byte tables and 8 bytes per term: about 2 bytes per integer,
 # 100 MB at this limit. Up to it each bit plane takes at most H/16 bytes
-# plus 1 kB, the indicator g and its cut `low` about H/16 bytes each (24 kB
-# at 3·2^17), and each term found about 40 bytes until the sieve returns.
+# plus 1 kB, the indicator g and its cut `low` about H/16 bytes each (28 kB
+# at 7·2^16), and each term found about 40 bytes until the sieve returns.
 MAX_HORIZON_DEFAULT = 50_000_000
 
-# The largest horizon sieved on bit planes, 3·2^17 = 393,216: the largest
+# The largest horizon sieved on bit planes, 7·2^16 = 458,752: the largest
 # horizon that scripts/kernel_threshold.py measures at which they beat the
 # byte tables plus numpy's import in fresh processes for every pair
 # (README, "Performance"; BENCH_kernels.json).
-_BITS_MAX_HORIZON = 3 << 17
+_BITS_MAX_HORIZON = 7 << 16
 
 # Values are validated against this so every int64 pair sum stays exact.
 _VALUE_LIMIT = 1 << 62

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ulamkit.cache
@@ -492,6 +492,10 @@ class TestPrefixStore:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.sampled_from(STORE_PAIRS), st.integers(0, 400),
            st.integers(1, 300), st.integers(5, 1500))
+    # from b, U(1,2)'s estimates fall short at 25 and at 59, between the
+    # doubling points 16, 32 and 64; the next step may not pass them
+    @example((1, 2), 0, 12, 1500)
+    @example((1, 2), 0, 19, 1500)
     def test_count_cap_as_doubling(self, tmp_path, pair, start, k, cap):
         # at the cap the error is the doubling oracle's, with the prefix
         # at the cap as `partial`; below it the count stops no later
@@ -547,22 +551,18 @@ class TestPrefixStore:
         assert cache_path(tmp_path, params).read_bytes() == stored
 
     def test_count_cap_keeps_partial_prefix(self, tmp_path, writes):
+        # the error itself is test_count_cap_as_doubling's; here the prefix
+        # at the cap is written once, and a second request reads it, fails
+        # the same way and writes nothing
         params = validate_params(1, 2)
-        with pytest.raises(HorizonTooLarge) as direct:
-            grow_to_count(params, 500, max_horizon=1000)
         store = PrefixStore(tmp_path, max_horizon=1000)
         with pytest.raises(HorizonTooLarge) as exc:
             store.get_count(params, 500)
-        assert str(exc.value) == str(direct.value)
-        assert exc.value.partial.horizon == direct.value.partial.horizon == 1000
-        assert exc.value.partial.term_list() == direct.value.partial.term_list()
         assert writes == [1000]
         assert_direct(cache_read(cache_path(tmp_path, params)), params, 1000)
-        # a second request reads the kept prefix, fails the same way and
-        # writes nothing
         with pytest.raises(HorizonTooLarge) as again:
             store.get_count(params, 500)
-        assert str(again.value) == str(direct.value)
+        assert str(again.value) == str(exc.value)
         assert writes == [1000]
 
 
