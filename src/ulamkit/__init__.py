@@ -15,11 +15,11 @@ __version__ = "0.1.0"
 
 # Home module -> the public names it exports at package level.
 _EXPORTS = {
-    "cache": ("PrefixStore", "cache_read", "cache_write", "decode_prefix",
-              "encode_prefix"),
-    "engine": ("MAX_HORIZON_DEFAULT", "UlamParams", "UlamPrefix", "count_upto",
-               "extend", "generate_count", "generate_to_horizon", "is_member",
-               "nth_term", "rep_count_exact", "validate_params"),
+    "cache": ("PrefixStore", "cache_read", "cache_write", "count_upto",
+              "decode_prefix", "encode_prefix", "generate_count", "is_member",
+              "nth_term"),
+    "engine": ("MAX_HORIZON_DEFAULT", "UlamParams", "UlamPrefix", "extend",
+               "generate_to_horizon", "rep_count_exact", "validate_params"),
     "mining": ("mine",),
     "patterns": ("Applicability", "PatternCode", "PatternComponent", "code_id",
                  "decode", "encode", "in_pattern", "pattern_set"),

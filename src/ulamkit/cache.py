@@ -1,4 +1,5 @@
-"""Binary on-disk format for computed prefixes.
+"""Binary on-disk format for computed prefixes, the store that serves them,
+and the membership and counting queries the store answers.
 
 Layout: 5-byte magic "ULAM1", then a, b, term_count, horizon as unsigned
 64-bit little-endian, then the first term and the successive gaps as
@@ -167,8 +168,9 @@ class PrefixStore:
 
     `get` and `get_count` give the results and errors of generate_to_horizon
     and generate_count; a cached count prefix may reach further. A corrupt
-    file is warned about and ignored. Only a prefix that grew is written,
-    also when a count stops at max_horizon. directory=None touches no disk.
+    or unreadable file is warned about and ignored, and so is a failed
+    write. Only a prefix that grew is written, also when a count stops at
+    max_horizon. directory=None touches no disk.
     """
 
     def __init__(self, directory=None, max_horizon: int = MAX_HORIZON_DEFAULT):
@@ -221,12 +223,52 @@ class PrefixStore:
             return path, None
         try:
             cached = cache_read(path)
-        except (CorruptCache, VersionMismatch) as exc:
+        except (CorruptCache, VersionMismatch, OSError) as exc:
             print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
             return path, None
         return path, cached if cached.params == params else None
 
     def _save(self, path: Path | None, prefix: UlamPrefix) -> None:
         if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            cache_write(prefix, path)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                cache_write(prefix, path)
+            except OSError as exc:
+                print(f"warning: not writing cache {path}: {exc}",
+                      file=sys.stderr)
+
+
+def generate_count(params: UlamParams, k: int,
+                   max_horizon: int = MAX_HORIZON_DEFAULT) -> UlamPrefix:
+    """A prefix holding at least the first k terms: PrefixStore().get_count
+    at this cap, which grows the horizon from b."""
+    return PrefixStore(None, max_horizon).get_count(params, k)
+
+
+def _source(store: PrefixStore | None) -> PrefixStore:
+    """`store`, or a PrefixStore that touches no disk, at the default cap."""
+    return PrefixStore() if store is None else store
+
+
+def is_member(params: UlamParams, m: int,
+              store: PrefixStore | None = None) -> bool:
+    """Membership of m, decided on the prefix to max(m, b)."""
+    if m < 1:
+        raise InvalidParameters(f"m must be positive, got {m}")
+    return _source(store).get(params, max(m, params.b)).contains(m)
+
+
+def nth_term(params: UlamParams, k: int,
+             store: PrefixStore | None = None) -> int:
+    """The k-th smallest term (1-based)."""
+    return _source(store).get_count(params, k).ints[k - 1]
+
+
+def count_upto(params: UlamParams, n: int,
+               store: PrefixStore | None = None) -> int:
+    """|U(a,b) intersect [0, n]|."""
+    if n < 0:
+        raise InvalidParameters(f"n must be nonnegative, got {n}")
+    if n < params.a:
+        return 0
+    return _source(store).get(params, max(n, params.b)).count_to(n)

@@ -18,7 +18,7 @@ import sys
 # The analysis layers load on first use (see __init__.py), and csv,
 # fractions and random are imported where used: a command loads only what
 # it runs.
-from . import (__version__, engine, mining, patterns, progressions,
+from . import (__version__, cache, engine, mining, patterns, progressions,
                regularity, rigidity)
 from .cache import PrefixStore, cache_path, cache_read
 from .engine import MAX_HORIZON_DEFAULT, UlamParams, validate_params
@@ -142,6 +142,11 @@ def _candidate_obj(cand) -> dict:
     }
 
 
+def _verdict(args, agrees: bool) -> int:
+    """Exit 1 for a negative result under --expect-agree, else exit 0."""
+    return EXIT_REFUTED if args.expect_agree and not agrees else EXIT_OK
+
+
 def _detect_for(args):
     """The prefix a period command analyses, and its period candidate."""
     params = _analysis_params(args)
@@ -173,28 +178,19 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_member(args) -> int:
-    params = _params(args)
-    member = engine.is_member(params, args.m, store=_store(args))
-    obj = {"a": params.a, "b": params.b, "m": args.m, "member": member}
-    _emit(args, obj, "true" if member else "false")
-    return EXIT_OK
-
-
-def cmd_nth(args) -> int:
-    params = _params(args)
-    term = engine.nth_term(params, args.k, store=_store(args))
-    obj = {"a": params.a, "b": params.b, "k": args.k, "term": term}
-    _emit(args, obj, str(term))
-    return EXIT_OK
-
-
-def cmd_count(args) -> int:
-    params = _params(args)
-    count = engine.count_upto(params, args.n, store=_store(args))
-    obj = {"a": params.a, "b": params.b, "n": args.n, "count": count}
-    _emit(args, obj, str(count))
-    return EXIT_OK
+def _query(name: str, arg: str, key: str):
+    """The handler that reports cache.<name>(params, args.<arg>) as `key`.
+    The function is looked up when the command runs, so one that replaces
+    it in `cache`, such as a tracing wrapper, is the one called."""
+    def handler(args) -> int:
+        params = _params(args)
+        value = getattr(cache, name)(params, getattr(args, arg),
+                                     store=_store(args))
+        obj = {"a": params.a, "b": params.b, arg: getattr(args, arg),
+               key: value}
+        _emit(args, obj, str(_cell(value)))
+        return EXIT_OK
+    return handler
 
 
 def cmd_gaps(args) -> int:
@@ -224,9 +220,7 @@ def cmd_detect_period(args) -> int:
                     coverage=str(cand.coverage_fraction),
                     period_gaps=" ".join(str(g) for g in cand.period_gaps))
     _emit(args, obj, text, flat.keys(), [flat.values()])
-    if cand is None and args.expect_agree:
-        return EXIT_REFUTED
-    return EXIT_OK
+    return _verdict(args, cand is not None)
 
 
 def cmd_density(args) -> int:
@@ -253,9 +247,7 @@ def cmd_density_check(args) -> int:
     text = (f"holds for all n in [{args.n_from}, {args.n_max}]" if result.holds
             else f"violated at n={result.first_violation}")
     _emit(args, obj, text)
-    if not result.holds and args.expect_agree:
-        return EXIT_REFUTED
-    return EXIT_OK
+    return _verdict(args, result.holds)
 
 
 def cmd_census(args) -> int:
@@ -303,9 +295,7 @@ def cmd_verify_pattern(args) -> int:
     flat["mismatch_m"] = mismatch.get("m")
     flat["mismatch_direction"] = mismatch.get("direction")
     _emit(args, obj, text, flat.keys(), [flat.values()])
-    if not report.agrees and args.expect_agree:
-        return EXIT_REFUTED
-    return EXIT_OK
+    return _verdict(args, report.agrees)
 
 
 def cmd_sweep(args) -> int:
@@ -338,10 +328,7 @@ def cmd_sweep(args) -> int:
         atomic_write_text(args.report_csv,
                           _render("csv", obj, text, fields, rows))
     _emit(args, obj, text, fields, rows)
-    if args.expect_agree and not all(e.report and e.report.agrees
-                                     for e in entries):
-        return EXIT_REFUTED
-    return EXIT_OK
+    return _verdict(args, all(e.report and e.report.agrees for e in entries))
 
 
 def cmd_mine(args) -> int:
@@ -385,9 +372,7 @@ def cmd_mine(args) -> int:
                  for i, c in enumerate(code.components)]
     _emit(args, obj, "\n".join(lines),
           ("component", "A1", "A2", "p", "B1", "B2", "q", "L", "S"), comp_rows)
-    if args.expect_agree and any(not r.agrees for r in reports):
-        return EXIT_REFUTED
-    return EXIT_OK
+    return _verdict(args, all(r.agrees for r in reports))
 
 
 def _decomposition_for(args):
@@ -522,10 +507,11 @@ COMMANDS = {
         ("--count", {"type": int, "help": "number of terms to produce"})))),
         cmd_generate),
     "member": ("decide membership of one value", (*_PAIR, ("--m", _INT)),
-               cmd_member),
-    "nth": ("the k-th term (1-based)", (*_PAIR, ("--k", _INT)), cmd_nth),
+               _query("is_member", "m", "member")),
+    "nth": ("the k-th term (1-based)", (*_PAIR, ("--k", _INT)),
+            _query("nth_term", "k", "term")),
     "count": ("counting function C(n) = |U ∩ [0, n]|",
-              (*_PAIR, ("--n", _INT)), cmd_count),
+              (*_PAIR, ("--n", _INT)), _query("count_upto", "n", "count")),
     "gaps": ("successive differences up to a horizon",
              (*_PAIR, ("--horizon", _INT)), cmd_gaps),
     "detect-period": ("search for an eventually periodic gap tail",
@@ -629,10 +615,7 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
-    except UlamkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (UlamkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -25,12 +25,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from typing import TYPE_CHECKING
 
 from .errors import HorizonTooLarge, InsufficientHorizon, InvalidParameters
-
-if TYPE_CHECKING:
-    from .cache import PrefixStore
 
 # Default resource guard. Above _BITS_MAX_HORIZON a sieve to horizon H holds
 # two (H+1)-byte tables and 8 bytes per term: about 2 bytes per integer,
@@ -404,48 +400,6 @@ def extend(prefix: UlamPrefix, new_horizon: int,
         )
     _check_horizon(new_horizon, max_horizon, partial=prefix)
     return _sieve(prefix.params, prefix.ints.obj, prefix.horizon, new_horizon)
-
-
-def generate_count(params: UlamParams, k: int,
-                   max_horizon: int = MAX_HORIZON_DEFAULT) -> UlamPrefix:
-    """A prefix holding at least the first k terms: PrefixStore().get_count
-    at this cap, which grows the horizon from b."""
-    from .cache import PrefixStore  # cache imports this module
-
-    return PrefixStore(None, max_horizon).get_count(params, k)
-
-
-def _source(store: PrefixStore | None) -> PrefixStore:
-    """`store`, or a PrefixStore that touches no disk, at the default cap."""
-    if store is None:
-        from .cache import PrefixStore  # cache imports this module
-
-        store = PrefixStore()
-    return store
-
-
-def is_member(params: UlamParams, m: int,
-              store: PrefixStore | None = None) -> bool:
-    """Membership of m, decided on the prefix to max(m, b)."""
-    if m < 1:
-        raise InvalidParameters(f"m must be positive, got {m}")
-    return _source(store).get(params, max(m, params.b)).contains(m)
-
-
-def nth_term(params: UlamParams, k: int,
-             store: PrefixStore | None = None) -> int:
-    """The k-th smallest term (1-based)."""
-    return _source(store).get_count(params, k).ints[k - 1]
-
-
-def count_upto(params: UlamParams, n: int,
-               store: PrefixStore | None = None) -> int:
-    """|U(a,b) intersect [0, n]|."""
-    if n < 0:
-        raise InvalidParameters(f"n must be nonnegative, got {n}")
-    if n < params.a:
-        return 0
-    return _source(store).get(params, max(n, params.b)).count_to(n)
 
 
 def require_analysis_grade(params: UlamParams, allow_non_coprime: bool = False) -> None:

@@ -3,26 +3,21 @@
 from __future__ import annotations
 
 import os
-import tempfile
-
-# The mode open(path, "wb") gives a new file; mkstemp would leave 0600.
-_UMASK = os.umask(0)
-os.umask(_UMASK)
-_FILE_MODE = 0o666 & ~_UMASK
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write via a temp file in the target directory, then rename over path;
-    the file gets the mode a plain open gives a new one."""
+    the file gets the mode a plain open gives a new one, as the kernel
+    applies the umask to the 0o666 it is created with."""
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}~")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         exc.filename = os.fspath(path)
         raise
     try:
         with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fd, _FILE_MODE)
             fh.write(data)
         try:
             os.replace(tmp, path)

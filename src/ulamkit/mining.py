@@ -10,15 +10,11 @@ failure, never a silent drop.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from .engine import _check_residue_class, _Record, _source, validate_params
+from .cache import PrefixStore, _source
+from .engine import _check_residue_class, _Record, validate_params
 from .errors import AlignmentFailure, FitFailure, InvalidParameters
 from .patterns import Applicability, PatternCode, PatternComponent
 from .rigidity import SegmentReport, verify_segment
-
-if TYPE_CHECKING:
-    from .cache import PrefixStore
 
 
 class RunDecomposition(_Record):

@@ -17,12 +17,12 @@ from itertools import chain, repeat
 from operator import mod, sub
 from typing import TYPE_CHECKING
 
+from .cache import PrefixStore, _source, count_upto
 from .engine import (UlamParams, UlamPrefix, _check_residue_class, _Record,
-                     _source, count_upto, require_analysis_grade)
+                     require_analysis_grade)
 from .errors import InvalidParameters
 
 if TYPE_CHECKING:
-    from .cache import PrefixStore
     from .patterns import PatternCode
 
 VERIFIED = "verified-on-prefix"

@@ -8,15 +8,12 @@ mismatch records the least offending integer and which side claimed it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING
 
+from .cache import PrefixStore, _source
 from .engine import (UlamParams, UlamPrefix, _check_residue_class, _Record,
-                     _source, validate_params)
+                     validate_params)
 from .errors import ApplicabilityError, UlamkitError
 from .patterns import PatternCode, _blocks, code_id, pattern_mask
-
-if TYPE_CHECKING:
-    from .cache import PrefixStore
 
 IN_ULAM_NOT_PATTERN = "in-ulam-not-pattern"
 IN_PATTERN_NOT_ULAM = "in-pattern-not-ulam"

@@ -13,9 +13,9 @@ import ulamkit.cache
 from oracles import (grow_to_count, naive_decode_prefix, naive_encode_prefix,
                      naive_ulam, vector_decode_terms, vector_encode_prefix)
 from ulamkit.cache import (MAGIC, PrefixStore, cache_path, cache_read,
-                           cache_write, decode_prefix, encode_prefix)
-from ulamkit.engine import (UlamPrefix, count_upto, generate_to_horizon,
-                            is_member, nth_term, validate_params)
+                           cache_write, count_upto, decode_prefix,
+                           encode_prefix, is_member, nth_term)
+from ulamkit.engine import UlamPrefix, generate_to_horizon, validate_params
 from ulamkit.errors import (CorruptCache, HorizonTooLarge, InvalidParameters,
                             VersionMismatch)
 from ulamkit.mining import mine

@@ -482,6 +482,30 @@ class TestCacheParity:
         assert kept.horizon == 1000
         assert kept.term_list() == naive_ulam(1, 2, 1000)
 
+    @pytest.mark.parametrize("command", [
+        ("member", "--a", "1", "--b", "2", "--m", "100"),
+        ("nth", "--a", "1", "--b", "2", "--k", "40"),
+        ("count", "--a", "1", "--b", "2", "--n", "300"),
+    ])
+    @pytest.mark.parametrize("layout", ["directory-at-file", "file-at-dir"])
+    def test_unusable_cache_is_ignored(self, capsys, tmp_path, command,
+                                       layout):
+        # a cache file that cannot be read, or a cache directory that cannot
+        # be made, is only warned about
+        if layout == "directory-at-file":
+            (tmp_path / "u1_2.ulam").mkdir()
+            directory = tmp_path
+        else:
+            (tmp_path / "f").write_bytes(b"")
+            directory = tmp_path / "f" / "sub"
+        without = run(capsys, *command)
+        code, out, err = run(capsys, *command, "--cache-dir", str(directory))
+        assert without[0] == 0 and without[2] == ""
+        assert (code, out) == without[:2]
+        lines = err.splitlines()
+        assert lines and all(line.startswith("warning: ") for line in lines)
+        assert temporary_files(tmp_path) == []
+
     def test_horizon_below_b(self, capsys, tmp_path):
         d = str(tmp_path)
         assert run(capsys, "gaps", "--a", "1", "--b", "5", "--horizon", "100",

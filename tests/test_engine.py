@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ulamkit import engine
+from ulamkit import cache, engine
 from ulamkit.errors import HorizonTooLarge, InsufficientHorizon, InvalidParameters
 
 from oracles import (fixed_point_fault, grow_to_count, naive_rep_count,
@@ -109,25 +109,25 @@ class TestGenerate:
 
 class TestGenerateCount:
     def test_first_two(self):
-        p = engine.generate_count(params(1, 2), 2)
+        p = cache.generate_count(params(1, 2), 2)
         assert p.term_list()[:2] == [1, 2]
 
     def test_twelfth_term(self):
-        p = engine.generate_count(params(1, 2), 12)
+        p = cache.generate_count(params(1, 2), 12)
         assert len(p) >= 12
         assert p.ints[11] == 28
         assert p.horizon >= 28
 
     def test_u23_tenth(self):
         # frozen from the brute-force oracle
-        assert engine.nth_term(params(2, 3), 10) == 19
+        assert cache.nth_term(params(2, 3), 10) == 19
 
     def test_resource_limit_carries_partial(self):
         # as the doubling loop generate_count ran before PrefixStore did
         with pytest.raises(HorizonTooLarge) as want:
             grow_to_count(params(1, 2), 10_000, max_horizon=50)
         with pytest.raises(HorizonTooLarge) as ei:
-            engine.generate_count(params(1, 2), 10_000, max_horizon=50)
+            cache.generate_count(params(1, 2), 10_000, max_horizon=50)
         assert str(ei.value) == str(want.value)
         assert ei.value.partial is not None
         assert ei.value.partial.horizon == 50
@@ -135,29 +135,29 @@ class TestGenerateCount:
 
     def test_k_zero(self):
         with pytest.raises(InvalidParameters):
-            engine.generate_count(params(1, 2), 0)
+            cache.generate_count(params(1, 2), 0)
 
 
 class TestQueries:
     def test_membership(self):
-        assert engine.is_member(params(1, 2), 11) is True
-        assert engine.is_member(params(1, 2), 5) is False
-        assert engine.is_member(params(3, 7), 3) is True
+        assert cache.is_member(params(1, 2), 11) is True
+        assert cache.is_member(params(1, 2), 5) is False
+        assert cache.is_member(params(3, 7), 3) is True
 
     def test_membership_below_b(self):
-        assert engine.is_member(params(5, 9), 5) is True
-        assert engine.is_member(params(5, 9), 4) is False
+        assert cache.is_member(params(5, 9), 5) is True
+        assert cache.is_member(params(5, 9), 4) is False
 
     def test_nth(self):
-        assert engine.nth_term(params(1, 2), 5) == 6
-        assert engine.nth_term(params(4, 11), 1) == 4
+        assert cache.nth_term(params(1, 2), 5) == 6
+        assert cache.nth_term(params(4, 11), 1) == 4
         # frozen from the brute-force oracle
-        assert engine.nth_term(params(2, 3), 6) == 9
+        assert cache.nth_term(params(2, 3), 6) == 9
 
     def test_count_upto(self):
-        assert engine.count_upto(params(1, 2), 10) == 6
-        assert engine.count_upto(params(1, 2), 0) == 0
-        assert engine.count_upto(params(1, 2), 28) == 12
+        assert cache.count_upto(params(1, 2), 10) == 6
+        assert cache.count_upto(params(1, 2), 0) == 0
+        assert cache.count_upto(params(1, 2), 28) == 12
 
     def test_count_monotone_steps(self):
         p = engine.generate_to_horizon(params(1, 2), 100)
@@ -528,7 +528,7 @@ def test_count_doubling_across_the_kernel_threshold(a, b):
     # first term above it; checked as across the threshold above
     threshold = engine._BITS_MAX_HORIZON
     k = len(engine.generate_to_horizon(params(a, b), threshold)) + 1
-    p = engine.generate_count(params(a, b), k)
+    p = cache.generate_count(params(a, b), k)
     assert p.horizon // 2 <= threshold < p.horizon
     want = (scatter_generate(a, b, p.horizon) if (a, b) == (1, 2)
             else trailing_oracle(a, b, p.horizon))
@@ -599,7 +599,7 @@ def test_bit_planes_at_the_threshold_pass_the_fixed_point_oracle(a, b):
 @given(SMALL_PAIRS, st.integers(2, 40))
 def test_nth_term_consistent_with_horizon_generation(pair, k):
     a, b = pair
-    t = engine.nth_term(params(a, b), k)
+    t = cache.nth_term(params(a, b), k)
     p = engine.generate_to_horizon(params(a, b), t)
     assert len(p) == k
     assert p.ints[-1] == t

@@ -21,14 +21,14 @@ SRC = str(Path(ulamkit.__file__).resolve().parents[1])
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
-# The package-level names and their home modules, as the package exported
-# them when every layer was imported eagerly.
+# The package-level names, as the package exported them when every layer
+# was imported eagerly, and the modules that define them.
 HOMES = {
-    "cache": ["PrefixStore", "cache_read", "cache_write", "decode_prefix",
-              "encode_prefix"],
-    "engine": ["MAX_HORIZON_DEFAULT", "UlamParams", "UlamPrefix", "count_upto",
-               "extend", "generate_count", "generate_to_horizon", "is_member",
-               "nth_term", "rep_count_exact", "validate_params"],
+    "cache": ["PrefixStore", "cache_read", "cache_write", "count_upto",
+              "decode_prefix", "encode_prefix", "generate_count", "is_member",
+              "nth_term"],
+    "engine": ["MAX_HORIZON_DEFAULT", "UlamParams", "UlamPrefix", "extend",
+               "generate_to_horizon", "rep_count_exact", "validate_params"],
     "mining": ["mine"],
     "patterns": ["Applicability", "PatternCode", "PatternComponent", "code_id",
                  "decode", "encode", "in_pattern", "pattern_set"],
@@ -307,6 +307,77 @@ def test_sweep_threads_match_in_fresh_process():
     assert len(json.loads(one.stdout)["entries"]) == 40
     assert (two.returncode, two.stdout, two.stderr) == (
         one.returncode, one.stdout, one.stderr)
+
+
+def test_writes_never_touch_the_umask(tmp_path):
+    # os.umask sets the umask of the whole process while it runs, so a
+    # file another thread makes meanwhile would get none; here a call
+    # to it fails the command, which writes a report and a cache file
+    script = ("import os, sys\n"
+              "def umask(mask):\n"
+              "    raise AssertionError('os.umask called')\n"
+              "os.umask = umask\n"
+              "from ulamkit.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    report, cache = tmp_path / "report.txt", tmp_path / "cache"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "generate", "--a", "1", "--b", "2",
+         "--horizon", "10", "--out", str(report), "--cache-dir",
+         str(cache)], capture_output=True, text=True, timeout=60, env=ENV)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert report.read_text().split() == ["1", "2", "3", "4", "6", "8"]
+    assert ulamkit.cache.cache_read(cache / "u1_2.ulam").horizon == 10
+
+
+def imports_of(path):
+    """(line, module, names, under `if TYPE_CHECKING:`) of every import
+    statement in a source file, at any depth."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    guarded = {id(node) for branch in ast.walk(tree)
+               if isinstance(branch, ast.If)
+               and "TYPE_CHECKING" in ast.unparse(branch.test)
+               for stmt in branch.body for node in ast.walk(stmt)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, node.module or "",
+                          [alias.name for alias in node.names],
+                          id(node) in guarded))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name, [], id(node) in guarded)
+                      for alias in node.names]
+    return sorted(found)
+
+
+class TestLayering:
+    """The engine sits below the cache; the store's type is imported, not
+    hidden behind TYPE_CHECKING."""
+
+    def test_engine_imports_nothing_from_cache(self):
+        found = imports_of(Path(SRC, "ulamkit", "engine.py"))
+        assert found  # the positive control
+        assert [entry for entry in found if entry[1].split(".")[-1] == "cache"
+                or "cache" in entry[2]] == []
+
+    def test_no_type_checking_import_of_the_store(self):
+        assert [(path.name, line)
+                for path in sorted(Path(SRC, "ulamkit").glob("*.py"))
+                for line, _, names, guarded in imports_of(path)
+                if guarded and "PrefixStore" in names] == []
+
+    def test_scan_sees_each_spelling(self, tmp_path):
+        probe = tmp_path / "probe.py"
+        probe.write_text("from typing import TYPE_CHECKING\n"
+                         "if TYPE_CHECKING:\n"
+                         "    from .cache import PrefixStore\n"
+                         "def f():\n"
+                         "    from . import cache\n"
+                         "    import ulamkit.cache\n")
+        assert imports_of(probe) == [
+            (1, "typing", ["TYPE_CHECKING"], False),
+            (3, "cache", ["PrefixStore"], True),
+            (5, "", ["cache"], False),
+            (6, "ulamkit.cache", [], False)]
 
 
 class TestPublicNames:
