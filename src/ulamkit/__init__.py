@@ -23,8 +23,7 @@ _EXPORTS = {
     "mining": ("mine",),
     "patterns": ("Applicability", "PatternCode", "PatternComponent", "code_id",
                  "decode", "encode", "in_pattern", "pattern_set"),
-    "progressions": ("APDecomposition", "ap_decomposition", "ap_member",
-                     "ap_to_pattern_code", "to_presburger_text"),
+    "progressions": ("ap_decomposition", "to_presburger_text"),
     "regularity": ("PeriodicityCandidate", "density_inequality_check",
                    "detect_period", "empirical_density", "evens_census", "gaps",
                    "hierarchy_report", "residue_census"),

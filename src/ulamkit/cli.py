@@ -376,14 +376,15 @@ def cmd_mine(args) -> int:
 
 
 def _decomposition_for(args):
-    """The AP decomposition to export, or None once the refusal is printed."""
+    """The prefix's params, the candidate and its pattern code, or None once
+    the refusal is printed."""
     prefix, cand = _detect_for(args)
     if cand is None:
         print("no periodic gap tail detected; nothing to export",
               file=sys.stderr)
         return None
     try:
-        return progressions.ap_decomposition(
+        return prefix.params, cand, progressions.ap_decomposition(
             prefix, cand, allow_non_coprime=args.allow_non_coprime)
     except StaleCandidate as exc:
         print(f"candidate refuted by the prefix itself: {exc}",
@@ -392,28 +393,30 @@ def _decomposition_for(args):
 
 
 def cmd_export_ap(args) -> int:
-    decomp = _decomposition_for(args)
-    if decomp is None:
+    found = _decomposition_for(args)
+    if found is None:
         return EXIT_REFUTED
-    density = progressions.effective_density(decomp)
-    obj = dict(progressions.decomposition_obj(decomp), density=str(density))
-    lines = [f"initial set: {list(decomp.initial_set)}"]
-    lines += [f"progression: {first} + {diff}·t"
-              for first, diff in decomp.progressions]
+    params, cand, code = found
+    density = regularity.density_from_period(cand)
+    obj = dict(progressions.decomposition_obj(code, params.a, params.b),
+               density=str(density))
+    progs = [(p["first"], p["diff"]) for p in obj["progressions"]]
+    lines = [f"initial set: {obj['initial_set']}"]
+    lines += [f"progression: {first} + {diff}·t" for first, diff in progs]
     lines.append(f"tail density: {density}")
-    rows = [("singleton", v, None) for v in decomp.initial_set]
-    rows += [("progression", first, diff)
-             for first, diff in decomp.progressions]
+    rows = [("singleton", v, None) for v in obj["initial_set"]]
+    rows += [("progression", first, diff) for first, diff in progs]
     _emit(args, obj, "\n".join(lines), ("kind", "first", "diff"), rows)
     return EXIT_OK
 
 
 def cmd_export_presburger(args) -> int:
-    decomp = _decomposition_for(args)
-    if decomp is None:
+    found = _decomposition_for(args)
+    if found is None:
         return EXIT_REFUTED
-    formula = progressions.to_presburger_text(decomp)
-    obj = {"a": decomp.params.a, "b": decomp.params.b,
+    params, _, code = found
+    formula = progressions.to_presburger_text(code, params.a, params.b)
+    obj = {"a": params.a, "b": params.b,
            "horizon": args.horizon, "formula": formula}
     _emit(args, obj, formula)
     return EXIT_OK
@@ -436,10 +439,10 @@ def cmd_cache_info(args) -> int:
         if not path.exists():
             row["status"] = "absent"
         else:
-            row["size_bytes"] = path.stat().st_size
             try:
+                row["size_bytes"] = path.stat().st_size
                 prefix = cache_read(path)
-            except (CorruptCache, VersionMismatch) as exc:
+            except (CorruptCache, VersionMismatch, OSError) as exc:
                 row["status"] = type(exc).__name__
                 row["error"] = str(exc)
             else:

@@ -17,12 +17,6 @@ from .patterns import Applicability, PatternCode, PatternComponent
 from .rigidity import SegmentReport, verify_segment
 
 
-class RunDecomposition(_Record):
-    """n, and the runs ((lo, hi), ...): disjoint, sorted, maximal."""
-
-    __slots__ = ("n", "runs")
-
-
 class MinedComponent(_Record):
     """Fitted endpoint lines, and the sample n they hit and miss."""
 
@@ -44,10 +38,6 @@ def runs(values) -> tuple:
     return tuple((lo, hi) for lo, hi in out)
 
 
-def run_decomposition(n: int, values) -> RunDecomposition:
-    return RunDecomposition(n, runs(values))
-
-
 def _fit_line(n1: int, v1: int, n2: int, v2: int, run_index: int,
               side: str) -> tuple[int, int]:
     num = v2 - v1
@@ -61,7 +51,7 @@ def _fit_line(n1: int, v1: int, n2: int, v2: int, run_index: int,
 
 
 def fit_components(samples, modulus: int, residue: int) -> list[MinedComponent]:
-    """Fit endpoint lines per run index across aligned samples.
+    """Fit endpoint lines per run index across aligned (n, runs) samples.
 
     Needs at least 3 samples with distinct n, all in the residue class and
     all with the same run count. The two extreme n fix each line; the rest
@@ -79,21 +69,21 @@ def fit_components(samples, modulus: int, residue: int) -> list[MinedComponent]:
     if off_class:
         raise InvalidParameters(
             f"samples {off_class} not ≡ {residue} (mod {modulus})")
-    counts = {n: len(d.runs) for n, d in samples}
+    counts = {n: len(r) for n, r in samples}
     if len(set(counts.values())) != 1:
         raise AlignmentFailure(
             f"run counts differ across samples: {counts}", counts=counts)
-    (n1, d1), (n2, d2) = samples[0], samples[-1]
+    (n1, runs1), (n2, runs2) = samples[0], samples[-1]
     components = []
-    for i in range(len(d1.runs)):
+    for i in range(len(runs1)):
         slope_lo, intercept_lo = _fit_line(
-            n1, d1.runs[i][0], n2, d2.runs[i][0], i, "lower")
+            n1, runs1[i][0], n2, runs2[i][0], i, "lower")
         slope_hi, intercept_hi = _fit_line(
-            n1, d1.runs[i][1], n2, d2.runs[i][1], i, "upper")
+            n1, runs1[i][1], n2, runs2[i][1], i, "upper")
         verified, misaligned = [], []
-        for n, d in samples:
+        for n, sample_runs in samples:
             expected = (slope_lo * n + intercept_lo, slope_hi * n + intercept_hi)
-            (verified if d.runs[i] == expected else misaligned).append(n)
+            (verified if sample_runs[i] == expected else misaligned).append(n)
         components.append(MinedComponent(
             slope_lo, intercept_lo, slope_hi, intercept_hi,
             tuple(verified), tuple(misaligned)))
@@ -123,11 +113,11 @@ def mine(modulus: int, residue: int, n_samples, segment_rule: tuple[int, int],
             raise InvalidParameters(
                 f"segment rule {segment_rule} gives horizon {horizon} < n={n}")
         prefix = store.get(params, horizon)
-        decomp = run_decomposition(n, prefix.term_list())
-        samples.append((n, decomp))
+        sample_runs = runs(prefix.term_list())
+        samples.append((n, sample_runs))
         if log is not None:
             log.append({"event": "sample", "n": n, "horizon": horizon,
-                        "runs": [list(r) for r in decomp.runs]})
+                        "runs": [list(r) for r in sample_runs]})
     components = fit_components(samples, modulus, residue)
     bad = [(i, c.misaligned_on) for i, c in enumerate(components)
            if c.misaligned_on]

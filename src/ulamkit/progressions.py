@@ -1,10 +1,13 @@
-"""Arithmetic-progression form of a gap-regular tail, with formula export.
+"""A gap-regular tail as a pattern code, with formula export.
 
 A validated periodicity candidate splits the sequence into the finite set
-of terms below its threshold plus p progressions of common difference G
-(one per gap in the period, anchored at consecutive tail terms). The
-membership predicate of that shape is also printed as a first-order
-formula over 0, 1, + and ordering, in a fixed grammar:
+of terms below its threshold plus p progressions of common difference G,
+one per gap in the period, anchored at consecutive tail terms. As a
+pattern code that is one singleton component per initial term and one
+unbounded component A = t_N, L = G, S = {t_{N+i} - t_N : i < p}. The
+membership predicate of a code of singletons and unbounded components is
+also printed as a first-order formula over 0, 1, + and ordering, in a
+fixed grammar:
 
     formula = "⊥" | clause { " ∨ " clause }
     clause  = "x = " integer
@@ -17,27 +20,16 @@ they certify agreement with a computed prefix, nothing beyond it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import TYPE_CHECKING
-
-from .engine import UlamPrefix, _Record, require_analysis_grade
-from .errors import StaleCandidate
+from .engine import UlamPrefix, require_analysis_grade
+from .errors import PatternSemanticError, StaleCandidate
+from .patterns import PatternCode, PatternComponent, eval_endpoints
 from .regularity import PeriodicityCandidate, _candidate_fault
-
-if TYPE_CHECKING:
-    from .patterns import PatternCode
-
-
-class APDecomposition(_Record):
-    """The pair, its candidate, the initial set and the progressions
-    ((first, diff), ...), which share one diff."""
-
-    __slots__ = ("params", "candidate", "initial_set", "progressions")
 
 
 def ap_decomposition(prefix: UlamPrefix, candidate: PeriodicityCandidate,
-                     allow_non_coprime: bool = False) -> APDecomposition:
-    """Split the prefix into initial terms plus p progressions of difference G.
+                     allow_non_coprime: bool = False) -> PatternCode:
+    """The prefix's initial terms as singletons, then its p progressions of
+    difference G as one unbounded component.
 
     The candidate must pass candidate_matches_prefix, the check that
     hierarchy_report applies to R2: it reproduces the prefix tail exactly,
@@ -49,64 +41,51 @@ def ap_decomposition(prefix: UlamPrefix, candidate: PeriodicityCandidate,
     fault = _candidate_fault(prefix, candidate)
     if fault is not None:
         raise StaleCandidate(fault)
-    terms, N = prefix.ints, candidate.N
-    return APDecomposition(
-        params=prefix.params,
-        candidate=candidate,
-        initial_set=tuple(terms[:N].tolist()),
-        progressions=tuple((first, candidate.G)
-                           for first in terms[N:N + candidate.p].tolist()),
-    )
+    N = candidate.N
+    terms = prefix.ints[:N + candidate.p].tolist()
+    first = terms[N]
+    return PatternCode(
+        tuple(PatternComponent(p=v, q=v) for v in terms[:N])
+        + (PatternComponent(p=first, L=candidate.G, unbounded=True,
+                            S=frozenset(t - first for t in terms[N:])),))
 
 
-def ap_member(decomp: APDecomposition, m: int) -> bool:
-    """Membership under the decomposition: initial set or some progression."""
-    if m in decomp.initial_set:
-        return True
-    return any(m >= first and (m - first) % diff == 0
-               for first, diff in decomp.progressions)
+def _split(code: PatternCode, a: int, b: int):
+    """The code's points in components of at most one point, ascending, and
+    a (first, step) pair per (unbounded component, s), ascending."""
+    singletons, progressions = [], []
+    for comp in code.components:
+        A, B = eval_endpoints(comp, a, b)
+        if B is None:
+            progressions += [(A + s, comp.L) for s in comp.S]
+            continue
+        points = [A + s for s in comp.S if A + s <= B]
+        if len(points) > 1 or points and points[0] + comp.L <= B:
+            raise PatternSemanticError(
+                f"no clause for a bounded component of more than one point: "
+                f"{comp!r}")
+        singletons += points
+    return sorted(singletons), sorted(progressions)
 
 
-def to_presburger_text(decomp: APDecomposition) -> str:
-    """Render the membership predicate in the module's fixed grammar."""
-    clauses = [f"x = {v}" for v in sorted(decomp.initial_set)]
-    clauses += [f"∃t (x = {first} + {diff}·t)"
-                for first, diff in sorted(decomp.progressions)]
+def to_presburger_text(code: PatternCode, a: int, b: int) -> str:
+    """Render the code's membership predicate at (a, b) in the module's
+    fixed grammar."""
+    singletons, progressions = _split(code, a, b)
+    clauses = [f"x = {v}" for v in singletons]
+    clauses += [f"∃t (x = {first} + {diff}·t)" for first, diff in progressions]
     if not clauses:
         return "⊥"
     return " ∨ ".join(clauses)
 
 
-def ap_to_pattern_code(decomp: APDecomposition,
-                       horizon: int | None = None) -> PatternCode:
-    """Equivalent pattern code: singletons plus one masked component per
-    progression (period G, single residue), bounded at horizon when given."""
-    from .patterns import PatternCode, PatternComponent
-
-    comps = [PatternComponent(p=v, q=v) for v in sorted(decomp.initial_set)]
-    for first, diff in decomp.progressions:
-        if horizon is None:
-            comps.append(PatternComponent(
-                p=first, L=diff, S=frozenset({0}), unbounded=True))
-        else:
-            comps.append(PatternComponent(
-                p=first, q=horizon, L=diff, S=frozenset({0})))
-    return PatternCode(tuple(comps))
-
-
-def effective_density(decomp: APDecomposition) -> Fraction:
-    """Exact density of the progression union: p/G in lowest terms."""
-    if not decomp.progressions:
-        return Fraction(0)
-    return Fraction(len(decomp.progressions), decomp.progressions[0][1])
-
-
-def decomposition_obj(decomp: APDecomposition) -> dict:
+def decomposition_obj(code: PatternCode, a: int, b: int) -> dict:
+    singletons, progressions = _split(code, a, b)
     return {
         "grade": "candidate",
-        "a": decomp.params.a,
-        "b": decomp.params.b,
-        "initial_set": list(decomp.initial_set),
+        "a": a,
+        "b": b,
+        "initial_set": singletons,
         "progressions": [{"first": first, "diff": diff}
-                         for first, diff in decomp.progressions],
+                         for first, diff in progressions],
     }

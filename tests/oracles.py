@@ -704,24 +704,40 @@ def reconstruct_term(candidate, u_N, index):
     return u_N + m * candidate.G + sum(candidate.period_gaps[:r])
 
 
+def naive_ap_decomposition(prefix, candidate):
+    """The replaced decomposition: the terms below the threshold, and a
+    (first, G) pair per gap in the period, anchored at the tail terms."""
+    terms, N = prefix.term_list(), candidate.N
+    return (tuple(terms[:N]),
+            tuple((first, candidate.G) for first in terms[N:N + candidate.p]))
+
+
+def ap_member(decomp, m):
+    """Membership under a decomposition: initial set or some progression."""
+    initial_set, progressions = decomp
+    return m in initial_set or any(m >= first and (m - first) % diff == 0
+                                   for first, diff in progressions)
+
+
 def ap_points_upto(decomp, horizon):
-    """All members an AP decomposition claims in [0, horizon], ascending."""
-    chunks = [np.asarray([v for v in decomp.initial_set if v <= horizon],
+    """All members a decomposition claims in [0, horizon], ascending."""
+    initial_set, progressions = decomp
+    chunks = [np.asarray([v for v in initial_set if v <= horizon],
                          dtype=np.int64)]
-    for first, diff in decomp.progressions:
+    for first, diff in progressions:
         if first <= horizon:
             chunks.append(np.arange(first, horizon + 1, diff, dtype=np.int64))
     return np.unique(np.concatenate(chunks)).tolist()
 
 
-def decomposition_json(decomp):
+def decomposition_json(code, a, b):
     from ulamkit.progressions import decomposition_obj
-    return json.dumps(decomposition_obj(decomp), separators=(",", ":"))
+    return json.dumps(decomposition_obj(code, a, b), separators=(",", ":"))
 
 
-def flatten(decomp):
+def flatten(runs):
     """Inverse of mining.runs(): the underlying sorted point list."""
     out = []
-    for lo, hi in decomp.runs:
+    for lo, hi in runs:
         out.extend(range(lo, hi + 1))
     return out

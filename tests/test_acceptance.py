@@ -19,15 +19,15 @@ from math import gcd
 import numpy as np
 import pytest
 
-from oracles import (naive_ulam, parse_presburger, random_code,
-                     reconstruct_term, rep_table, terms_array)
+from oracles import (ap_member, naive_ap_decomposition, naive_ulam,
+                     parse_presburger, random_code, reconstruct_term,
+                     rep_table, terms_array)
 from ulamkit.cache import decode_prefix, encode_prefix
 from ulamkit.engine import UlamPrefix, generate_to_horizon, validate_params
 from ulamkit.mining import mine
 from ulamkit.patterns import (Applicability, PatternCode, PatternComponent,
                               decode, encode, in_pattern)
-from ulamkit.progressions import (ap_decomposition, ap_member,
-                                  ap_to_pattern_code, to_presburger_text)
+from ulamkit.progressions import ap_decomposition, to_presburger_text
 from ulamkit.regularity import (density_inequality_check, detect_period,
                                 empirical_density, gaps)
 from ulamkit.rigidity import verify_segment
@@ -162,20 +162,21 @@ def test_criterion_7_ap_presburger_coherence():
     for a, b in REGULAR_PAIRS:
         prefix = generate_to_horizon(validate_params(a, b), horizon)
         cand = detect_period(gaps(prefix))
-        decomp = ap_decomposition(prefix, cand)
-        bounded = ap_to_pattern_code(decomp, horizon)
+        code = ap_decomposition(prefix, cand)
+        decomp = naive_ap_decomposition(prefix, cand)
         for m in range(horizon + 1):
-            if ap_member(decomp, m) != prefix.contains(m):
+            if in_pattern(code, a, b, m) != prefix.contains(m):
                 discrepancies += 1
-            if in_pattern(bounded, a, b, m) != ap_member(decomp, m):
+            if in_pattern(code, a, b, m) != ap_member(decomp, m):
                 discrepancies += 1
-        evaluate = parse_presburger(to_presburger_text(decomp))
+        evaluate = parse_presburger(to_presburger_text(code, a, b))
         for m in range(formula_limit + 1):
-            if evaluate(m) != ap_member(decomp, m):
+            if evaluate(m) != in_pattern(code, a, b, m):
                 discrepancies += 1
     verdict(7, discrepancies == 0,
-            f"ap_member == is_member (m <= {horizon}), pattern bridge, and "
-            f"re-parsed formula (m <= {formula_limit}) on U(2,5), U(2,7): "
+            f"in_pattern on the code == is_member (m <= {horizon}) and the "
+            f"replaced decomposition, and re-parsed formula "
+            f"(m <= {formula_limit}) on U(2,5), U(2,7): "
             f"{discrepancies} discrepancies")
 
 

@@ -420,6 +420,20 @@ class TestCacheIntegration:
         assert code == 0
         assert obj["files"][0]["status"] == "CorruptCache"
 
+    def test_unreadable_entry_reported(self, capsys, tmp_path):
+        # an entry that cannot be read gets its own row, as a corrupt file
+        # does, and the listing goes on
+        run(capsys, "generate", "--a", "2", "--b", "5", "--horizon", "100",
+            "--cache-dir", str(tmp_path))
+        (tmp_path / "u1_2.ulam").mkdir()
+        code, obj = run_json(capsys, "cache", "info",
+                             "--cache-dir", str(tmp_path))
+        assert code == 0
+        bad, good = obj["files"]
+        assert bad["status"] == "IsADirectoryError"
+        assert bad["error"].startswith("[Errno 21] Is a directory")
+        assert good["status"] == "ok" and (good["a"], good["b"]) == (2, 5)
+
 
 def out_of_range_cache(directory):
     """U(1,2) file with a valid checksum whose third term exceeds 2**62."""

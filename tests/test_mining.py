@@ -4,8 +4,7 @@ from hypothesis import strategies as st
 
 from ulamkit.engine import generate_to_horizon, validate_params
 from ulamkit.errors import AlignmentFailure, FitFailure, InvalidParameters
-from ulamkit.mining import (MinedComponent, RunDecomposition, fit_components,
-                            mine, run_decomposition, runs)
+from ulamkit.mining import MinedComponent, fit_components, mine, runs
 from ulamkit.patterns import PatternComponent, pattern_set
 
 from oracles import flatten, naive_runs
@@ -24,7 +23,7 @@ BLOCK = PatternComponent(A1=0, A2=4, B1=0, B2=5, p=2, q=-1)
 
 def family_sample(n):
     prefix = generate_to_horizon(validate_params(1, n), 5 * n - 1)
-    return n, run_decomposition(n, prefix.term_list())
+    return n, runs(prefix.term_list())
 
 
 class TestRuns:
@@ -48,23 +47,22 @@ class TestRuns:
 
     def test_family_windows(self):
         for n, expected in FAMILY_RUNS.items():
-            assert family_sample(n)[1].runs == expected
+            assert family_sample(n)[1] == expected
 
     @given(st.sets(st.integers(-200, 200), max_size=60))
     @settings(max_examples=200, deadline=None)
     def test_flatten_roundtrip(self, points):
         values = sorted(points)
-        decomp = RunDecomposition(0, runs(values))
-        assert flatten(decomp) == values
+        assert flatten(runs(values)) == values
         assert list(runs(values)) == naive_runs(values)
 
 
 class TestFitComponents:
     def synthetic(self, ns, lines):
         # lines: per run, (slope_lo, int_lo, slope_hi, int_hi)
-        return [(n, RunDecomposition(n, tuple(
-            (sl * n + il, sh * n + ih) for sl, il, sh, ih in lines)))
-            for n in ns]
+        return [(n, tuple((sl * n + il, sh * n + ih)
+                          for sl, il, sh, ih in lines))
+                for n in ns]
 
     def test_recovers_lines(self):
         samples = self.synthetic([4, 6, 8], [(1, 0, 2, 0), (4, 2, 5, -1)])
@@ -91,22 +89,22 @@ class TestFitComponents:
 
     def test_run_count_mismatch(self):
         samples = self.synthetic([4, 6], [(1, 0, 1, 0), (3, 0, 3, 1)])
-        samples.append((8, RunDecomposition(8, ((8, 8),))))
+        samples.append((8, ((8, 8),)))
         with pytest.raises(AlignmentFailure) as exc:
             fit_components(samples, 2, 0)
         assert exc.value.counts == {4: 2, 6: 2, 8: 1}
 
     def test_non_integer_slope(self):
         samples = self.synthetic([3, 5, 6], [(2, 1, 2, 1)])
-        broken = samples[-1][1].runs[0]
-        samples[-1] = (6, RunDecomposition(6, ((broken[0] + 1, broken[1]),)))
+        broken = samples[-1][1][0]
+        samples[-1] = (6, ((broken[0] + 1, broken[1]),))
         with pytest.raises(FitFailure) as exc:
             fit_components(samples, 1, 0)
         assert exc.value.run_index == 0
 
     def test_middle_sample_misaligned(self):
         samples = self.synthetic([1, 2, 3], [(2, -2, 2, -1)])
-        samples[1] = (2, RunDecomposition(2, ((3, 3),)))
+        samples[1] = (2, ((3, 3),))
         comps = fit_components(samples, 1, 0)
         assert comps[0].verified_on == (1, 3)
         assert comps[0].misaligned_on == (2,)

@@ -14,16 +14,13 @@ import pytest
 
 from ulamkit.engine import UlamParams
 from ulamkit.errors import PatternSemanticError
-from ulamkit.mining import MinedComponent, RunDecomposition
+from ulamkit.mining import MinedComponent
 from ulamkit.patterns import Applicability, PatternCode, PatternComponent
-from ulamkit.progressions import APDecomposition
 from ulamkit.regularity import (Census, DensityCheckResult, DensityEstimate,
                                 HierarchyReport, PeriodicityCandidate)
 from ulamkit.rigidity import SegmentReport, SweepEntry
 
-PARAMS = UlamParams(2, 5, True)
 COMPONENT = PatternComponent(0, 1, 0, 2, 3, -1, 2, frozenset({1}), False)
-CANDIDATE = PeriodicityCandidate(3, 2, (1, 2), 3, 4, Fraction(1, 2))
 REPORT = SegmentReport(1, 5, "abc", 1, 9, False, (4, "in-ulam-not-pattern"), 3)
 
 # class, field names, field values, one changed field, the dataclass repr
@@ -65,17 +62,11 @@ CASES = [
      "first_mismatch=(4, 'in-ulam-not-pattern'), matched_count=3)"),
     (SweepEntry, ("n", "report", "error"), (7, REPORT, None), {"n": 8},
      f"SweepEntry(n=7, report={REPORT!r}, error=None)"),
-    (RunDecomposition, ("n", "runs"), (5, ((1, 2), (4, 4))), {"n": 6},
-     "RunDecomposition(n=5, runs=((1, 2), (4, 4)))"),
     (MinedComponent, ("slope_lo", "intercept_lo", "slope_hi", "intercept_hi",
                       "verified_on", "misaligned_on"),
      (1, 0, 2, -1, (6, 7), ()), {"misaligned_on": (8,)},
      "MinedComponent(slope_lo=1, intercept_lo=0, slope_hi=2, "
      "intercept_hi=-1, verified_on=(6, 7), misaligned_on=())"),
-    (APDecomposition, ("params", "candidate", "initial_set", "progressions"),
-     (PARAMS, CANDIDATE, (2, 5), ((7, 3), (9, 3))), {"initial_set": (2,)},
-     f"APDecomposition(params={PARAMS!r}, candidate={CANDIDATE!r}, "
-     "initial_set=(2, 5), progressions=((7, 3), (9, 3)))"),
 ]
 
 

@@ -273,7 +273,7 @@ def test_point_far_below_one_is_found_by_arithmetic(monkeypatch):
 
 
 def test_many_one_point_components_and_a_masked_tail():
-    # a component per term, as ap_to_pattern_code starts its set, then a
+    # a component per term, as ap_decomposition starts its code, then a
     # periodic tail that agrees with the members only here and there
     p = params(1, 2)
     prefix = engine.generate_to_horizon(p, 25_000)
