@@ -132,14 +132,11 @@ def _fraction(text: str, flag: str):
 
 
 def _candidate_obj(cand) -> dict:
-    return {
-        "N": cand.N,
-        "p": cand.p,
-        "period_gaps": list(cand.period_gaps),
-        "G": cand.G,
-        "periods_observed": cand.periods_observed,
-        "coverage": str(cand.coverage_fraction),
-    }
+    obj = cand._asdict()
+    obj["period_gaps"] = list(cand.period_gaps)
+    # coverage_fraction is the last slot, so "coverage" takes its place
+    obj["coverage"] = str(obj.pop("coverage_fraction"))
+    return obj
 
 
 def _verdict(args, agrees: bool) -> int:
@@ -242,8 +239,7 @@ def cmd_density_check(args) -> int:
         params, q.numerator, q.denominator, args.k, args.n_from, args.n_max,
         store=_store(args), allow_non_coprime=args.allow_non_coprime)
     obj = {"a": params.a, "b": params.b, "q": str(q), "k": args.k,
-           "n_from": args.n_from, "n_max": args.n_max,
-           "holds": result.holds, "first_violation": result.first_violation}
+           "n_from": args.n_from, "n_max": args.n_max, **result._asdict()}
     text = (f"holds for all n in [{args.n_from}, {args.n_max}]" if result.holds
             else f"violated at n={result.first_violation}")
     _emit(args, obj, text)
@@ -259,8 +255,7 @@ def cmd_census(args) -> int:
                 else list(range(args.modulus)))
     censuses = regularity.residue_censuses(
         prefix, args.modulus, residues, allow_non_coprime=args.allow_non_coprime)
-    rows = [{"residue": r, "count": c.count, "largest": c.largest,
-             "tail_from": c.tail_from} for r, c in zip(residues, censuses)]
+    rows = [{"residue": r, **c._asdict()} for r, c in zip(residues, censuses)]
     obj = {"a": params.a, "b": params.b, "horizon": prefix.horizon,
            "modulus": args.modulus, "rows": rows}
     lines = []
@@ -269,9 +264,8 @@ def cmd_census(args) -> int:
                 if row["tail_from"] else "recurring")
         lines.append(f"residue {row['residue']}: count={row['count']} "
                      f"largest={row['largest']} ({tail})")
-    _emit(args, obj, "\n".join(lines),
-          ("residue", "count", "largest", "tail_from"),
-          [tuple(r.values()) for r in rows])
+    _emit(args, obj, "\n".join(lines), rows[0].keys(),
+          [r.values() for r in rows])
     return EXIT_OK
 
 

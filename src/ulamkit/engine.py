@@ -93,6 +93,10 @@ class _Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
+    def _asdict(self) -> dict:
+        """The fields by name, in __slots__ order."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -85,25 +85,18 @@ def eval_endpoints(comp: PatternComponent, a: int, b: int) -> tuple[int, int | N
     return A, comp.B1 * a + comp.B2 * b + comp.q
 
 
-def _component_contains(comp: PatternComponent, a: int, b: int, m: int) -> bool:
-    A, B = eval_endpoints(comp, a, b)
-    if m < A:
-        return False
-    if B is not None and m > B:
-        return False
-    return (m - A) % comp.L in comp.S
-
-
 def in_pattern(code: PatternCode, a: int, b: int, m: int) -> bool:
     """Whether m lies in the set the code denotes at (a, b)."""
-    return any(_component_contains(c, a, b, m) for c in code.components)
+    return any(_blocks(code.components, a, b, m, m))
 
 
-def _blocks(code: PatternCode, a: int, b: int, lo: int, hi: int):
+def _blocks(components, a: int, b: int, lo: int, hi: int):
     """(first, last, L) for each (component, s) with a point in [lo, hi] at
     (a, b): its least and greatest point there and its step. Unbounded
-    components are clipped at hi."""
-    for comp in code.components:
+    components are clipped at hi. This is the package's only rule for
+    where a component's points lie: membership, the masks, b_max,
+    pattern_set and the formula export all read it."""
+    for comp in components:
         A, B = eval_endpoints(comp, a, b)
         B = hi if B is None else min(B, hi)
         L = comp.L
@@ -119,7 +112,7 @@ def pattern_mask(code: PatternCode, a: int, b: int, lo: int,
     m - lo is 1 for each point m, else 0. Each block is one strided write,
     and its run of ones the only copy beside the mask."""
     mask = bytearray(max(hi - lo + 1, 0))
-    for first, last, L in _blocks(code, a, b, lo, hi):
+    for first, last, L in _blocks(code.components, a, b, lo, hi):
         mask[first - lo:last - lo + 1:L] = b"\x01" * ((last - first) // L + 1)
     return mask
 
@@ -138,10 +131,10 @@ def pattern_set(code: PatternCode, a: int, b: int) -> list[int]:
 
 def _holding_ends(code: PatternCode, a: int, b: int):
     """(A, B) at (a, b) of each component of a fully bounded code that
-    holds a point: its mask is not empty and A + min(S) <= B."""
+    holds a point."""
     for comp in code.components:
         A, B = eval_endpoints(comp, a, b)
-        if comp.S and A + min(comp.S) <= B:
+        if any(_blocks((comp,), a, b, A, B)):
             yield A, B
 
 
@@ -156,22 +149,12 @@ def b_max(code: PatternCode, a: int, b: int) -> int | None:
     return max((B for _, B in _holding_ends(code, a, b)), default=None)
 
 
-def _component_to_obj(comp: PatternComponent) -> dict:
-    return {
-        "A1": comp.A1, "A2": comp.A2, "B1": comp.B1, "B2": comp.B2,
-        "p": comp.p, "q": comp.q, "L": comp.L, "S": sorted(comp.S),
-        "unbounded": comp.unbounded,
-    }
-
-
 def encode(code: PatternCode) -> str:
     """Canonical text form: fixed key order, no whitespace, S ascending."""
-    obj = {"components": [_component_to_obj(c) for c in code.components]}
+    obj = {"components": [{**c._asdict(), "S": sorted(c.S)}
+                          for c in code.components]}
     if code.applicability is not None:
-        obj["applicability"] = {
-            "modulus": code.applicability.modulus,
-            "residue": code.applicability.residue,
-        }
+        obj["applicability"] = code.applicability._asdict()
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -199,6 +182,9 @@ def decode(text: str) -> PatternCode:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise PatternParseError(f"invalid JSON: {e.msg}", offset=e.pos) from e
+    except ValueError as e:  # an integer past Python's int-string limit
+        raise PatternParseError("invalid JSON: an integer has too many "
+                                "digits") from e
     except RecursionError as e:
         raise PatternParseError("invalid JSON: nested too deeply") from e
     _require(isinstance(obj, dict), "top level must be an object")

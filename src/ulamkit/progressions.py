@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .engine import UlamPrefix, require_analysis_grade
 from .errors import PatternSemanticError, StaleCandidate
-from .patterns import PatternCode, PatternComponent, eval_endpoints
+from .patterns import PatternCode, PatternComponent, _blocks, eval_endpoints
 from .regularity import PeriodicityCandidate, _candidate_fault
 
 
@@ -59,12 +59,12 @@ def _split(code: PatternCode, a: int, b: int):
         if B is None:
             progressions += [(A + s, comp.L) for s in comp.S]
             continue
-        points = [A + s for s in comp.S if A + s <= B]
-        if len(points) > 1 or points and points[0] + comp.L <= B:
+        blocks = list(_blocks((comp,), a, b, A, B))
+        if len(blocks) > 1 or blocks and blocks[0][0] != blocks[0][1]:
             raise PatternSemanticError(
                 f"no clause for a bounded component of more than one point: "
                 f"{comp!r}")
-        singletons += points
+        singletons += [first for first, _, _ in blocks]
     return sorted(singletons), sorted(progressions)
 
 

@@ -71,8 +71,8 @@ def verify_segment(code: PatternCode, params: UlamParams, N: int, M: int,
     # No member lies below a, so the least point of the code in [N, a) is
     # the first mismatch. Found per block by arithmetic, it keeps a window
     # far below 1 from costing a byte per integer.
-    first = min((m for m, _, _ in _blocks(code, a, b, N, min(M, a - 1))),
-                default=None)
+    first = min((m for m, _, _ in _blocks(code.components, a, b, N,
+                                           min(M, a - 1))), default=None)
     direction = IN_PATTERN_NOT_ULAM
     if first is None:
         base = max(N, a)
@@ -137,20 +137,14 @@ def family_sweep(code: PatternCode, modulus: int, residue: int,
 
 
 def report_obj(report: SegmentReport) -> dict:
-    mismatch = None
+    obj = report._asdict()
     if report.first_mismatch is not None:
-        mismatch = {"m": report.first_mismatch[0],
-                    "direction": report.first_mismatch[1]}
-    return {
-        "a": report.a, "b": report.b, "code": report.code,
-        "N": report.N, "M": report.M, "agrees": report.agrees,
-        "first_mismatch": mismatch, "matched_count": report.matched_count,
-    }
+        m, direction = report.first_mismatch
+        obj["first_mismatch"] = {"m": m, "direction": direction}
+    return obj
 
 
 def entry_obj(entry: SweepEntry) -> dict:
-    return {
-        "n": entry.n,
-        "report": None if entry.report is None else report_obj(entry.report),
-        "error": entry.error,
-    }
+    report = entry.report
+    return {**entry._asdict(),
+            "report": None if report is None else report_obj(report)}

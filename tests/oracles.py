@@ -664,6 +664,34 @@ def point_set(code, a, b, lo=None, hi=None):
     return points
 
 
+# The point rules the package kept beside patterns._blocks until _blocks
+# became the only one.
+
+def component_contains(comp, a, b, m):
+    """Whether m is a point of comp at (a, b): A <= m <= B and
+    (m - A) mod L in S."""
+    A, B = eval_endpoints(comp, a, b)
+    if m < A or B is not None and m > B:
+        return False
+    return (m - A) % comp.L in comp.S
+
+
+def holds_point(comp, a, b):
+    """Whether a bounded component holds a point at (a, b): S is not empty
+    and A + min(S) <= B."""
+    A, B = eval_endpoints(comp, a, b)
+    return bool(comp.S) and A + min(comp.S) <= B
+
+
+def component_obj(comp):
+    """A component's JSON object in the canonical key order, S ascending."""
+    return {
+        "A1": comp.A1, "A2": comp.A2, "B1": comp.B1, "B2": comp.B2,
+        "p": comp.p, "q": comp.q, "L": comp.L, "S": sorted(comp.S),
+        "unbounded": comp.unbounded,
+    }
+
+
 def _setxor_points(code, prefix, lo, hi):
     pattern = np.array(sorted(point_set(code, prefix.params.a, prefix.params.b,
                                         lo, hi)), dtype=np.int64)

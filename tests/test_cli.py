@@ -727,7 +727,10 @@ class TestErrorMapping:
         ids=["verify-pattern", "sweep"])
     @pytest.mark.parametrize("data, message", [
         (b'{"components":\xff]}', "not UTF-8: byte 14"),
-        (b"[" * 200_000, "nested too deeply")], ids=["latin-1", "deep"])
+        (b"[" * 200_000, "nested too deeply"),
+        (b'{"components":[{"A1":' + b"7" * 5000 + b',"A2":0,"B1":0,"B2":0,'
+         b'"p":0,"q":0,"L":1,"S":[0],"unbounded":false}]}',
+         "too many digits")], ids=["latin-1", "deep", "oversized-int"])
     def test_malformed_code_file(self, capsys, tmp_path, command, data,
                                  message):
         # exit 1 is a negative verdict; a code that does not parse is exit 2
@@ -736,6 +739,7 @@ class TestErrorMapping:
         code, out, err = run(capsys, *command, "--code", f"@{path}")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
     def test_bad_fraction(self, capsys):
         code, _, err = run(capsys, "density-check", "--a", "1", "--b", "2",

@@ -211,8 +211,17 @@ class TestNumpyOnlyToSieve:
         assert "dataclasses" not in loaded
 
     def test_miss_above_the_threshold_loads_numpy(self, tmp_path):
-        loaded = self.miss(tmp_path, ulamkit.engine._BITS_MAX_HORIZON + 1)
+        big = ulamkit.engine._BITS_MAX_HORIZON + 1
+        loaded = self.miss(tmp_path, big)
         assert loaded["numpy"] is True
+        # the file the byte kernel wrote is then served without numpy
+        for argv in (("member", "--m", str(big)),
+                     ("detect-period", "--horizon", str(big))):
+            proc, loaded = probe(tmp_path, *argv, "--a", "1", "--b", "2",
+                                 "--cache-dir", str(tmp_path / "empty"))
+            assert proc.returncode == 0 and proc.stderr == ""
+            assert "numpy" not in loaded
+            assert DATACLASS_MODULES.isdisjoint(loaded)
 
     def extend(self, tmp_path, horizon):
         """Cache U(1,2) to half the threshold, then probe a member query

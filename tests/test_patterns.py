@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from ulamkit import patterns
 from ulamkit.errors import PatternParseError, PatternSemanticError, UnboundedPattern
 from ulamkit.patterns import Applicability, PatternCode, PatternComponent
+from ulamkit.progressions import decomposition_obj, to_presburger_text
 
-from oracles import random_code, random_component
+from oracles import (component_contains, component_obj, component_points,
+                     holds_point, parse_presburger, point_set, random_code,
+                     random_component)
 
 BLOCK = PatternComponent(A1=0, A2=4, B1=0, B2=5, p=2, q=-1, L=1, S=frozenset({0}))
 BLOCK_CODE = PatternCode((BLOCK,))
@@ -174,6 +177,14 @@ class TestCodec:
         with pytest.raises(PatternParseError, match="nested too deeply"):
             patterns.decode("[" * 200_000)
 
+    def test_oversized_integer_is_a_parse_error(self):
+        # json.loads refuses an integer literal past Python's int-string
+        # limit (4,300 digits by default) with a bare ValueError
+        text = ('{"components":[{"A1":' + "7" * 5000 + ',"A2":0,"B1":0,'
+                '"B2":0,"p":0,"q":0,"L":1,"S":[0],"unbounded":false}]}')
+        with pytest.raises(PatternParseError, match="too many digits"):
+            patterns.decode(text)
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(PatternSemanticError):
             patterns.decode('{"components":[],"extra":1}')
@@ -213,3 +224,68 @@ def test_roundtrip_hypothesis(data):
     )
     code = PatternCode((comp,))
     assert patterns.decode(patterns.encode(code)) == code
+
+
+SHORT = st.tuples(st.integers(-50, 50), st.integers(1, 8), st.integers(0, 7),
+                  st.integers(0, 7))
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), a=st.integers(1, 6),
+       b=st.integers(1, 12), short=st.lists(SHORT, max_size=2))
+def test_point_queries_match_the_removed_rules(seed, a, b, short):
+    """Every question about a code's points goes through patterns._blocks.
+    Each answer matches the rule the package used for it before and
+    point_set. random_code draws empty masks, unbounded components and
+    negative coefficients, and the probes include the integers just below
+    each lower end A. The short components, [p, p + d] with d < L and one
+    mask element, hold one point or none, so the formula export also runs
+    on codes with singletons."""
+    rng = random.Random(seed)
+    code = random_code(rng, max_components=4)
+    code = PatternCode(code.components + tuple(
+        PatternComponent(p=p, q=p + d % L, L=L, S={s % L})
+        for p, L, s, d in short), code.applicability)
+    comps = code.components
+    probes = {rng.randint(-3000, 3000) for _ in range(8)}
+    for comp in comps:
+        A, B = patterns.eval_endpoints(comp, a, b)
+        probes.update(range(A - 2, A + comp.L + 2))
+        if B is not None:
+            probes.update(range(B - 1, B + 2))
+    member = {m: any(component_contains(c, a, b, m) for c in comps)
+              for m in probes}
+    for m, want in member.items():
+        assert patterns.in_pattern(code, a, b, m) is want
+        assert want == (m in point_set(code, a, b, m, m))
+
+    if code.has_unbounded:
+        assert patterns.b_max(code, a, b) is None
+        with pytest.raises(UnboundedPattern):
+            patterns.pattern_set(code, a, b)
+    else:
+        ends = [patterns.eval_endpoints(c, a, b)[1] for c in comps
+                if holds_point(c, a, b)]
+        assert patterns.b_max(code, a, b) == max(ends, default=None)
+        assert patterns.pattern_set(code, a, b) == sorted(point_set(code, a, b))
+
+    bounded = [component_points(c, a, b) for c in comps if not c.unbounded]
+    if any(len(points) > 1 for points in bounded):
+        for export in (decomposition_obj, to_presburger_text):
+            with pytest.raises(PatternSemanticError, match="more than one"):
+                export(code, a, b)
+    else:
+        obj = decomposition_obj(code, a, b)
+        assert obj["initial_set"] == sorted(sum(bounded, []))
+        assert obj["progressions"] == [
+            {"first": first, "diff": diff} for first, diff in sorted(
+                (patterns.eval_endpoints(c, a, b)[0] + s, c.L)
+                for c in comps if c.unbounded for s in c.S)]
+        formula = parse_presburger(to_presburger_text(code, a, b))
+        assert all(formula(m) == want for m, want in member.items())
+
+    obj = {"components": [component_obj(c) for c in comps]}
+    if code.applicability is not None:
+        obj["applicability"] = {"modulus": code.applicability.modulus,
+                                "residue": code.applicability.residue}
+    assert patterns.encode(code) == json.dumps(obj, separators=(",", ":"))

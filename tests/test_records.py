@@ -79,6 +79,8 @@ def test_record_is_a_value(cls, names, values, changed, text):
     assert cls(**fields) == record
     assert cls(*values[:1], **dict(list(fields.items())[1:])) == record
     assert {name: getattr(record, name) for name in names} == fields
+    assert record._asdict() == fields
+    assert tuple(record._asdict()) == cls.__match_args__
     with pytest.raises(TypeError):
         cls(*values, None)
     with pytest.raises(TypeError):
