@@ -471,28 +471,28 @@ _INT = {"type": int, "required": True}
 _PATH = {"metavar": "PATH"}
 _PAIR = (("--a", {**_INT, "help": "smaller starting term"}),
          ("--b", {**_INT, "help": "larger starting term"}))
+_COPRIME = (("--allow-non-coprime", {
+    "action": "store_true",
+    "help": "run analyses on degenerate non-coprime pairs"}),)
+_EXPECT = (("--expect-agree", {
+    "action": "store_true",
+    "help": "exit 1 when the analysis result is negative"}),)
+_OVERRIDE = (("--override-applicability", {
+    "action": "store_true",
+    "help": "evaluate a code outside its claimed residue class"}),)
 _PERIOD = (
     ("--horizon", _INT),
     ("--min-periods", {"type": int, "default": 3,
                        "help": "full periods the tail must span (default 3)"}),
     ("--min-coverage", {"default": "1/2", "help":
-                        "least fraction of gaps in the tail (default 1/2)"}))
-_GLOBAL = (
-    ("--threads", {"type": int, "default": 1,
-                   "help": "accepted and ignored; sweeps run in one thread"}),
+                        "least fraction of gaps in the tail (default 1/2)"}),
+    *_COPRIME)
+# the flags every handler reads, through _store and _emit
+_COMMON = (
     ("--cache-dir", {"help":
                      "prefix cache directory (default: $ULAM_CACHE_DIR)"}),
     ("--format", {"choices": ("text", "json", "csv"), "default": "text",
                   "help": "output format (default text)"}),
-    ("--seed", {"type": int, "default": 0,
-                "help": "RNG seed for sampled mining (default 0)"}),
-    ("--override-applicability", {"action": "store_true", "help":
-                                  "evaluate a code outside its claimed "
-                                  "residue class"}),
-    ("--expect-agree", {"action": "store_true", "help":
-                        "exit 1 when the analysis result is negative"}),
-    ("--allow-non-coprime", {"action": "store_true", "help":
-                             "run analyses on degenerate non-coprime pairs"}),
     ("--out", {**_PATH, "help":
                "write output atomically to PATH instead of stdout"}))
 
@@ -512,25 +512,26 @@ COMMANDS = {
     "gaps": ("successive differences up to a horizon",
              (*_PAIR, ("--horizon", _INT)), cmd_gaps),
     "detect-period": ("search for an eventually periodic gap tail",
-                      (*_PAIR, *_PERIOD), cmd_detect_period),
-    "density": ("empirical density C(n)/(n+1)", (*_PAIR, ("--n", _INT)),
-                cmd_density),
+                      (*_PAIR, *_PERIOD, *_EXPECT), cmd_detect_period),
+    "density": ("empirical density C(n)/(n+1)",
+                (*_PAIR, ("--n", _INT), *_COPRIME), cmd_density),
     "density-check": ("scan the density inequality over a range of n", (
         *_PAIR,
         ("--q", {"required": True,
                  "help": "target ratio as a rational, e.g. 1/2"}),
         ("--k", _INT), ("--n-from", {"type": int, "default": 1}),
-        ("--n-max", _INT)), cmd_density_check),
+        ("--n-max", _INT), *_COPRIME, *_EXPECT), cmd_density_check),
     "census": ("terms per residue class, with tail evidence", (
         *_PAIR, ("--horizon", _INT), ("--modulus", _INT),
         ("--residue", {"type": int,
-                       "help": "one class only (default: all classes)"})),
-        cmd_census),
+                       "help": "one class only (default: all classes)"}),
+        *_COPRIME), cmd_census),
     "verify-pattern": ("compare membership with a pattern code on a range", (
         *_PAIR,
         ("--code", {"required": True,
                     "help": "pattern code JSON, or @FILE to read it"}),
-        ("--lo", _INT), ("--hi", _INT)), cmd_verify_pattern),
+        ("--lo", _INT), ("--hi", _INT), *_OVERRIDE, *_EXPECT),
+        cmd_verify_pattern),
     "sweep": ("verify one code across a family U(a, n)", (
         ("--code", {"required": True}), ("--modulus", _INT),
         ("--residue", _INT), ("--n-from", _INT), ("--n-to", _INT),
@@ -542,8 +543,12 @@ COMMANDS = {
         ("--report-jsonl", {**_PATH, "help":
                             "also write one JSON object per n to PATH"}),
         ("--report-csv", {**_PATH,
-                          "help": "also write a CSV summary to PATH"})),
-        cmd_sweep),
+                          "help": "also write a CSV summary to PATH"}),
+        # command lines that predate the one-thread sweep, the family-sweep
+        # benchmark's among them, still pass --threads
+        ("--threads", {"type": int, "default": 1, "help":
+                       "accepted and ignored; sweeps run in one thread"}),
+        *_OVERRIDE, *_EXPECT), cmd_sweep),
     "mine": ("fit a linear interval pattern to U(1, n) samples", (
         ("--modulus", _INT), ("--residue", _INT),
         ("--samples", {"help": "explicit comma-separated n values"}),
@@ -555,8 +560,10 @@ COMMANDS = {
         ("--holdout", {"help":
                        "comma-separated verification n (default: next 2)"}),
         ("--log", {**_PATH,
-                   "help": "write the mining session log as JSON lines"})),
-        cmd_mine),
+                   "help": "write the mining session log as JSON lines"}),
+        ("--seed", {"type": int, "default": 0,
+                    "help": "RNG seed for sampled mining (default 0)"}),
+        *_EXPECT), cmd_mine),
     "export-ap": ("initial set + arithmetic progressions of the tail",
                   (*_PAIR, *_PERIOD), cmd_export_ap),
     "export-presburger": ("membership formula of the decided set",
@@ -592,7 +599,7 @@ def _add_commands(parser, table: dict, common, metavar: str) -> None:
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The `ulam` parser: with every command, or with `command` alone."""
     common = argparse.ArgumentParser(add_help=False)
-    _add_arguments(common.add_argument_group("global options"), _GLOBAL)
+    _add_arguments(common.add_argument_group("common options"), _COMMON)
     parser = argparse.ArgumentParser(
         prog="ulam",
         description="Ulam sequence computation and pattern analysis.")

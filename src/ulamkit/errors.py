@@ -65,7 +65,8 @@ class AlignmentFailure(UlamkitError):
 
 
 class FitFailure(UlamkitError):
-    """Endpoint fitting produced a non-integer slope. Carries run index."""
+    """Endpoint fitting produced a non-integer slope, or lines that miss a
+    sample. Carries the first failing run index."""
 
     def __init__(self, message, run_index=None):
         super().__init__(message)

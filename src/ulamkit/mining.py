@@ -11,17 +11,10 @@ failure, never a silent drop.
 from __future__ import annotations
 
 from .cache import PrefixStore, _source
-from .engine import _check_residue_class, _Record, validate_params
+from .engine import _check_residue_class, validate_params
 from .errors import AlignmentFailure, FitFailure, InvalidParameters
 from .patterns import Applicability, PatternCode, PatternComponent
 from .rigidity import SegmentReport, verify_segment
-
-
-class MinedComponent(_Record):
-    """Fitted endpoint lines, and the sample n they hit and miss."""
-
-    __slots__ = ("slope_lo", "intercept_lo", "slope_hi", "intercept_hi",
-                 "verified_on", "misaligned_on")
 
 
 def runs(values) -> tuple:
@@ -50,13 +43,15 @@ def _fit_line(n1: int, v1: int, n2: int, v2: int, run_index: int,
     return slope, v1 - slope * n1
 
 
-def fit_components(samples, modulus: int, residue: int) -> list[MinedComponent]:
+def fit_components(samples, modulus: int,
+                   residue: int) -> tuple[PatternComponent, ...]:
     """Fit endpoint lines per run index across aligned (n, runs) samples.
 
     Needs at least 3 samples with distinct n, all in the residue class and
-    all with the same run count. The two extreme n fix each line; the rest
-    verify it, and samples a fitted component misses are recorded in its
-    misaligned_on field rather than dropped.
+    all with the same run count. The two extreme n fix each line as a
+    trivially masked component, lower end A2*n + p and upper end B2*n + q;
+    the rest verify it, and a sample that a fitted component misses is a
+    FitFailure naming every such run and n.
     """
     _check_residue_class(modulus, residue)
     samples = sorted(samples, key=lambda s: s[0])
@@ -76,18 +71,21 @@ def fit_components(samples, modulus: int, residue: int) -> list[MinedComponent]:
     (n1, runs1), (n2, runs2) = samples[0], samples[-1]
     components = []
     for i in range(len(runs1)):
-        slope_lo, intercept_lo = _fit_line(
-            n1, runs1[i][0], n2, runs2[i][0], i, "lower")
-        slope_hi, intercept_hi = _fit_line(
-            n1, runs1[i][1], n2, runs2[i][1], i, "upper")
-        verified, misaligned = [], []
-        for n, sample_runs in samples:
-            expected = (slope_lo * n + intercept_lo, slope_hi * n + intercept_hi)
-            (verified if sample_runs[i] == expected else misaligned).append(n)
-        components.append(MinedComponent(
-            slope_lo, intercept_lo, slope_hi, intercept_hi,
-            tuple(verified), tuple(misaligned)))
-    return components
+        A2, p = _fit_line(n1, runs1[i][0], n2, runs2[i][0], i, "lower")
+        B2, q = _fit_line(n1, runs1[i][1], n2, runs2[i][1], i, "upper")
+        components.append(PatternComponent(A2=A2, p=p, B2=B2, q=q))
+    # every run is fitted before any miss is reported, so a non-integer
+    # slope anywhere is the error raised
+    missed = [(i, [n for n, sample_runs in samples
+                   if sample_runs[i] != (c.A2 * n + c.p, c.B2 * n + c.q)])
+              for i, c in enumerate(components)]
+    missed = [(i, miss) for i, miss in missed if miss]
+    if missed:
+        raise FitFailure(
+            "fitted lines miss some samples: "
+            + "; ".join(f"run {i} at n={miss}" for i, miss in missed),
+            run_index=missed[0][0])
+    return tuple(components)
 
 
 def mine(modulus: int, residue: int, n_samples, segment_rule: tuple[int, int],
@@ -118,25 +116,12 @@ def mine(modulus: int, residue: int, n_samples, segment_rule: tuple[int, int],
         if log is not None:
             log.append({"event": "sample", "n": n, "horizon": horizon,
                         "runs": [list(r) for r in sample_runs]})
-    components = fit_components(samples, modulus, residue)
-    bad = [(i, c.misaligned_on) for i, c in enumerate(components)
-           if c.misaligned_on]
-    if bad:
-        raise FitFailure(
-            f"fitted lines miss some samples: "
-            + "; ".join(f"run {i} at n={list(ns)}" for i, ns in bad),
-            run_index=bad[0][0])
-    code = PatternCode(
-        tuple(PatternComponent(A1=0, A2=c.slope_lo, B1=0, B2=c.slope_hi,
-                               p=c.intercept_lo, q=c.intercept_hi)
-              for c in components),
-        Applicability(modulus, residue),
-    )
+    code = PatternCode(fit_components(samples, modulus, residue),
+                       Applicability(modulus, residue))
     if log is not None:
         log.append({"event": "fit",
-                    "components": [[c.slope_lo, c.intercept_lo,
-                                    c.slope_hi, c.intercept_hi]
-                                   for c in components]})
+                    "components": [[c.A2, c.p, c.B2, c.q]
+                                   for c in code.components]})
     if holdout is None:
         step = modulus
         holdout = [ns[-1] + step, ns[-1] + 2 * step]

@@ -143,10 +143,13 @@ def _candidate_fault(prefix: UlamPrefix,
                      candidate: PeriodicityCandidate) -> str | None:
     """Why the prefix refutes the candidate, or None when it does not.
 
-    The stored period must equal the gaps at the threshold, every later gap
-    must continue it, and the next term it predicts must lie above the
-    horizon, where the prefix has decided nothing.
+    The stored period must equal the gaps at the threshold and G their sum,
+    every later gap must continue it, and the next term it predicts must
+    lie above the horizon, where the prefix has decided nothing.
     """
+    if candidate.G != sum(candidate.period_gaps):
+        return (f"candidate G={candidate.G} differs from "
+                f"{sum(candidate.period_gaps)}, the sum of its period gaps")
     terms = prefix.ints[candidate.N:]
     tail = list(map(sub, terms[1:], terms))
     period = list(candidate.period_gaps)

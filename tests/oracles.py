@@ -292,6 +292,29 @@ def naive_runs(values):
     return [(lo, hi) for lo, hi in out]
 
 
+def naive_fit(samples):
+    """Per run index of the (n, runs) samples, the lines through that run's
+    endpoints at the least and the greatest n, with Fraction coefficients,
+    and the n whose run lies on both lines and the n whose run does not:
+    ((slope_lo, intercept_lo, slope_hi, intercept_hi), verified, misaligned).
+    """
+    samples = sorted(samples, key=lambda s: s[0])
+    (n1, runs1), (n2, runs2) = samples[0], samples[-1]
+    fits = []
+    for i in range(len(runs1)):
+        lines = []
+        for end in (0, 1):
+            slope = Fraction(runs2[i][end] - runs1[i][end], n2 - n1)
+            lines += [slope, runs1[i][end] - slope * n1]
+        verified, misaligned = [], []
+        for n, runs in samples:
+            on_lines = (lines[0] * n + lines[1] == runs[i][0]
+                        and lines[2] * n + lines[3] == runs[i][1])
+            (verified if on_lines else misaligned).append(n)
+        fits.append((tuple(lines), verified, misaligned))
+    return fits
+
+
 def random_component(rng):
     """Seeded generator covering the full component field space."""
     from ulamkit.patterns import PatternComponent

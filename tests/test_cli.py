@@ -798,6 +798,67 @@ class TestErrorMapping:
         assert exc.value.code == 2
 
 
+# each leaf command with its required flags, and the commands whose handler
+# reads each flag that not every command takes
+LEAF_ARGV = {
+    "generate": ("--a", "1", "--b", "2", "--horizon", "10"),
+    "member": ("--a", "1", "--b", "2", "--m", "5"),
+    "nth": ("--a", "1", "--b", "2", "--k", "3"),
+    "count": ("--a", "1", "--b", "2", "--n", "10"),
+    "gaps": ("--a", "1", "--b", "2", "--horizon", "10"),
+    "detect-period": ("--a", "1", "--b", "2", "--horizon", "10"),
+    "density": ("--a", "1", "--b", "2", "--n", "10"),
+    "density-check": ("--a", "1", "--b", "2", "--q", "1/2", "--k", "3",
+                      "--n-max", "10"),
+    "census": ("--a", "1", "--b", "2", "--horizon", "10", "--modulus", "3"),
+    "verify-pattern": ("--a", "1", "--b", "2", "--code", BLOCK_CODE,
+                       "--lo", "1", "--hi", "5"),
+    "sweep": ("--code", BLOCK_CODE, "--modulus", "1", "--residue", "0",
+              "--n-from", "4", "--n-to", "6", "--seg-c", "5", "--seg-d", "-1"),
+    "mine": ("--modulus", "1", "--residue", "0", "--seg-c", "5",
+             "--seg-d", "-1"),
+    "export-ap": ("--a", "1", "--b", "2", "--horizon", "10"),
+    "export-presburger": ("--a", "1", "--b", "2", "--horizon", "10"),
+    "cache info": (),
+}
+SCOPED_FLAGS = {
+    # flag with its value: the commands that take it, the value it parses to
+    ("--expect-agree",): ({"detect-period", "density-check", "verify-pattern",
+                           "sweep", "mine"}, True),
+    ("--allow-non-coprime",): ({"density", "density-check", "census",
+                                "detect-period", "export-ap",
+                                "export-presburger"}, True),
+    ("--override-applicability",): ({"verify-pattern", "sweep"}, True),
+    ("--seed", "3"): ({"mine"}, 3),
+    ("--threads", "2"): ({"sweep"}, 2),
+}
+
+
+def test_leaf_argv_covers_every_command():
+    leaves = []
+    for name, (_, _, handler) in cli.COMMANDS.items():
+        leaves += ([f"{name} {action}" for action in handler]
+                   if isinstance(handler, dict) else [name])
+    assert leaves == list(LEAF_ARGV)
+
+
+@pytest.mark.parametrize("command", LEAF_ARGV)
+@pytest.mark.parametrize("flag", SCOPED_FLAGS, ids=lambda f: f[0])
+def test_flag_taken_only_where_read(capsys, command, flag):
+    takers, value = SCOPED_FLAGS[flag]
+    argv = [*command.split(), *LEAF_ARGV[command], *flag]
+    parser = cli.build_parser(argv[0])
+    if command in takers:
+        args = parser.parse_args(argv)
+        assert getattr(args, flag[0][2:].replace("-", "_")) == value
+        return
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 2
+    assert (f"unrecognized arguments: {' '.join(flag)}"
+            in capsys.readouterr().err)
+
+
 def test_module_entry_point():
     # the child imports the same ulamkit as this process, installed or not
     src = str(Path(ulamkit.__file__).resolve().parents[1])

@@ -1,13 +1,15 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulamkit.engine import generate_to_horizon, validate_params
 from ulamkit.errors import AlignmentFailure, FitFailure, InvalidParameters
-from ulamkit.mining import MinedComponent, fit_components, mine, runs
+from ulamkit.mining import fit_components, mine, runs
 from ulamkit.patterns import PatternComponent, pattern_set
 
-from oracles import flatten, naive_runs
+from oracles import flatten, naive_fit, naive_runs
 
 # U(1, n) restricted to [1, 5n - 1], frozen from direct generation.
 FAMILY_RUNS = {
@@ -19,6 +21,27 @@ FAMILY_RUNS = {
 }
 
 BLOCK = PatternComponent(A1=0, A2=4, B1=0, B2=5, p=2, q=-1)
+
+
+@st.composite
+def fit_case(draw):
+    """A residue class, and samples of integer lines at distinct n in it,
+    with at most one run endpoint of one sample moved off its line."""
+    modulus = draw(st.integers(1, 3))
+    residue = draw(st.integers(0, modulus - 1))
+    ns = [residue + modulus * k for k in draw(
+        st.lists(st.integers(0, 12), min_size=3, max_size=6, unique=True))]
+    lines = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * 4),
+                          min_size=1, max_size=4))
+    samples = [[[sl * n + il, sh * n + ih] for sl, il, sh, ih in lines]
+               for n in ns]
+    if draw(st.booleans()):
+        run = draw(st.sampled_from(samples))[draw(st.integers(
+            0, len(lines) - 1))]
+        run[draw(st.integers(0, 1))] += draw(
+            st.integers(-3, 3).filter(lambda d: d != 0))
+    return modulus, residue, [(n, tuple(map(tuple, runs)))
+                              for n, runs in zip(ns, samples)]
 
 
 def family_sample(n):
@@ -66,11 +89,10 @@ class TestFitComponents:
 
     def test_recovers_lines(self):
         samples = self.synthetic([4, 6, 8], [(1, 0, 2, 0), (4, 2, 5, -1)])
-        comps = fit_components(samples, 2, 0)
-        assert comps == [
-            MinedComponent(1, 0, 2, 0, (4, 6, 8), ()),
-            MinedComponent(4, 2, 5, -1, (4, 6, 8), ()),
-        ]
+        assert fit_components(samples, 2, 0) == (
+            PatternComponent(A2=1, p=0, B2=2, q=0),
+            PatternComponent(A2=4, p=2, B2=5, q=-1),
+        )
 
     def test_too_few_samples(self):
         samples = self.synthetic([4, 6], [(1, 0, 1, 0)])
@@ -105,21 +127,51 @@ class TestFitComponents:
     def test_middle_sample_misaligned(self):
         samples = self.synthetic([1, 2, 3], [(2, -2, 2, -1)])
         samples[1] = (2, ((3, 3),))
-        comps = fit_components(samples, 1, 0)
-        assert comps[0].verified_on == (1, 3)
-        assert comps[0].misaligned_on == (2,)
+        with pytest.raises(FitFailure) as exc:
+            fit_components(samples, 1, 0)
+        assert str(exc.value) == (
+            "fitted lines miss some samples: run 0 at n=[2]")
+        assert exc.value.run_index == 0
 
     def test_real_family_misalignment(self):
         # n=3 deviates from the n>=4 lines in its last two runs while
         # the extremes n=3, n=5 still admit integer fits there.
         samples = [family_sample(n) for n in (3, 4, 5)]
-        comps = fit_components(samples, 1, 0)
-        assert [c.misaligned_on for c in comps] == [(), (), (), (4,), (4,)]
+        with pytest.raises(FitFailure) as exc:
+            fit_components(samples, 1, 0)
+        assert str(exc.value) == ("fitted lines miss some samples: "
+                                  "run 3 at n=[4]; run 4 at n=[4]")
+        assert exc.value.run_index == 3
 
     def test_invalid_class(self):
         samples = self.synthetic([4, 6, 8], [(1, 0, 1, 0)])
         with pytest.raises(InvalidParameters):
             fit_components(samples, 0, 0)
+
+    @given(fit_case())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_oracle(self, case):
+        modulus, residue, samples = case
+        fits = naive_fit(samples)
+        fractional = [i for i, (lines, _, _) in enumerate(fits)
+                      if any(x.denominator != 1 for x in lines)]
+        missed = [(i, miss) for i, (_, _, miss) in enumerate(fits) if miss]
+        if not fractional and not missed:
+            assert fit_components(samples, modulus, residue) == tuple(
+                PatternComponent(A2=sl, p=il, B2=sh, q=ih)
+                for (sl, il, sh, ih), _, _ in fits)
+            return
+        with pytest.raises(FitFailure) as exc:
+            fit_components(samples, modulus, residue)
+        if fractional:
+            # a non-integer slope is reported before any missed sample
+            assert exc.value.run_index == fractional[0]
+            assert re.match(rf"run {fractional[0]}: .* non-integer slope",
+                            str(exc.value))
+        else:
+            assert exc.value.run_index == missed[0][0]
+            assert str(exc.value) == "fitted lines miss some samples: " + (
+                "; ".join(f"run {i} at n={miss}" for i, miss in missed))
 
 
 class TestMine:

@@ -135,6 +135,21 @@ class TestDecomposition:
                 r"the prefix tail$")):
             progressions.ap_decomposition(prefix, wrong)
 
+    def test_stale_when_G_is_not_the_period_sum(self):
+        # a G one above the period's sum once passed and gave a code with
+        # 761 points in [1, 3000] for the prefix's 767 terms
+        prefix, candidate, _ = regular_decomp(2, 5, 3000)
+        assert (candidate.N, candidate.p, candidate.G) == (6, 32, 126)
+        wrong = PeriodicityCandidate(candidate.N, candidate.p,
+                                     candidate.period_gaps, 127,
+                                     candidate.periods_observed,
+                                     candidate.coverage_fraction)
+        assert not regularity.candidate_matches_prefix(prefix, wrong)
+        with pytest.raises(StaleCandidate, match=(
+                r"^candidate G=127 differs from 126, the sum of its period "
+                r"gaps$")):
+            progressions.ap_decomposition(prefix, wrong)
+
     def test_stale_when_model_predicts_into_decided_region(self):
         # horizon sits far beyond the last term, so the periodic model's next
         # predicted member (last + gap) lands in decided-empty territory

@@ -1,14 +1,18 @@
-"""The README's "Library use" examples run as printed.
+"""The README's "Library use" examples run as printed, and its
+performance tables are the ones the committed records render.
 
 The section's Python blocks run in order in one namespace, in an empty
 directory, as a reader would paste them. A `print` line there ends in a
 comment that is the exact line it prints.
 """
 
+import importlib.util
+import json
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def library_blocks():
@@ -27,3 +31,23 @@ def test_library_use_blocks(tmp_path, monkeypatch, capsys):
                     if line.startswith("print(")]
         exec(compile(block, str(README), "exec"), namespace)
         assert capsys.readouterr().out.splitlines() == expected
+
+
+def script(name):
+    """The module scripts/<name>.py, loaded without running its main."""
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def record(name):
+    return json.loads((ROOT / name).read_text(encoding="utf-8"))
+
+
+def test_performance_tables_match_the_records():
+    text = README.read_text(encoding="utf-8")
+    assert script("startup").render(record("BENCH_startup.json")) in text
+    assert script("kernel_threshold").table(
+        record("BENCH_kernels.json")["rows"]) in text

@@ -14,7 +14,6 @@ import pytest
 
 from ulamkit.engine import UlamParams
 from ulamkit.errors import PatternSemanticError
-from ulamkit.mining import MinedComponent
 from ulamkit.patterns import Applicability, PatternCode, PatternComponent
 from ulamkit.regularity import (Census, DensityCheckResult, DensityEstimate,
                                 HierarchyReport, PeriodicityCandidate)
@@ -62,11 +61,6 @@ CASES = [
      "first_mismatch=(4, 'in-ulam-not-pattern'), matched_count=3)"),
     (SweepEntry, ("n", "report", "error"), (7, REPORT, None), {"n": 8},
      f"SweepEntry(n=7, report={REPORT!r}, error=None)"),
-    (MinedComponent, ("slope_lo", "intercept_lo", "slope_hi", "intercept_hi",
-                      "verified_on", "misaligned_on"),
-     (1, 0, 2, -1, (6, 7), ()), {"misaligned_on": (8,)},
-     "MinedComponent(slope_lo=1, intercept_lo=0, slope_hi=2, "
-     "intercept_hi=-1, verified_on=(6, 7), misaligned_on=())"),
 ]
 
 

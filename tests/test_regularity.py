@@ -407,6 +407,17 @@ class TestHierarchy:
         assert rep.statuses["R2"] == VERIFIED
         assert rep.witnesses["r2_candidate"].p == 32
 
+    def test_stale_G_replaced(self):
+        p = prefix(2, 5, 3000)
+        detected = regularity.detect_period(regularity.gaps(p))
+        wrong = regularity.PeriodicityCandidate(
+            detected.N, detected.p, detected.period_gaps, detected.G + 1,
+            detected.periods_observed, detected.coverage_fraction)
+        rep = regularity.hierarchy_report(params(2, 5), None, wrong, p)
+        assert rep.statuses["R2"] == rep.statuses["R4"] == VERIFIED
+        assert rep.witnesses["r2_candidate"] == detected
+        assert rep.witnesses["r4_density"] == Fraction(16, 63)
+
     def test_implication_consistency(self):
         for pair, h in [((2, 5), 4000), ((1, 2), 28), ((1, 10), 49)]:
             p = prefix(*pair, h)
