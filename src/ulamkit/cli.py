@@ -260,8 +260,9 @@ def cmd_census(args) -> int:
            "modulus": args.modulus, "rows": rows}
     lines = []
     for row in rows:
-        tail = ("none beyond {}".format(row["tail_from"] - 1)
-                if row["tail_from"] else "recurring")
+        tail_from = row["tail_from"]
+        tail = ("recurring" if tail_from is None
+                else f"none beyond {tail_from - 1}" if tail_from else "none")
         lines.append(f"residue {row['residue']}: count={row['count']} "
                      f"largest={row['largest']} ({tail})")
     _emit(args, obj, "\n".join(lines), rows[0].keys(),

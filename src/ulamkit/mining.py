@@ -77,7 +77,8 @@ def fit_components(samples, modulus: int,
     # every run is fitted before any miss is reported, so a non-integer
     # slope anywhere is the error raised
     missed = [(i, [n for n, sample_runs in samples
-                   if sample_runs[i] != (c.A2 * n + c.p, c.B2 * n + c.q)])
+                   if tuple(sample_runs[i])
+                   != (c.A2 * n + c.p, c.B2 * n + c.q)])
               for i, c in enumerate(components)]
     missed = [(i, miss) for i, miss in missed if miss]
     if missed:

@@ -19,9 +19,9 @@ from math import gcd
 import numpy as np
 import pytest
 
-from oracles import (ap_member, naive_ap_decomposition, naive_ulam,
-                     parse_presburger, random_code, reconstruct_term,
-                     rep_table, terms_array)
+from oracles import (ap_member, fixed_point_fault, naive_ap_decomposition,
+                     naive_ulam, parse_presburger, random_code,
+                     reconstruct_term, rep_table, terms_array)
 from ulamkit.cache import decode_prefix, encode_prefix
 from ulamkit.engine import UlamPrefix, generate_to_horizon, validate_params
 from ulamkit.mining import mine
@@ -245,3 +245,11 @@ def test_criterion_9_roundtrip_identities(u12_million):
     verdict(9, ok, f"1000 pattern-code and 1000 cache roundtrips plus the "
                    f"10^6-horizon prefix: {code_failures + cache_failures} "
                    f"failures" + ("" if big_ok else "; large prefix differs"))
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 5), (1, 1000)])
+def test_sieve_to_a_million_passes_the_fixed_point_oracle(a, b, request):
+    # the byte tables at scale, against an oracle that shares no sieve code
+    prefix = (request.getfixturevalue("u12_million") if (a, b) == (1, 2)
+              else generate_to_horizon(validate_params(a, b), 10**6))
+    assert fixed_point_fault(prefix.term_list(), a, b, 10**6) is None

@@ -161,6 +161,16 @@ class TestAnalysisCommands:
             for r, c in enumerate(censuses))
         assert run(capsys, *argv) == (0, text, "")
 
+    def test_census_empty_class_has_no_terms(self, capsys):
+        # tail_from 0 marks a class with no term in the prefix
+        argv = ("census", "--a", "1", "--b", "2", "--horizon", "30",
+                "--modulus", "50", "--residue", "40")
+        _, obj = run_json(capsys, *argv)
+        assert obj["rows"] == [{"residue": 40, "count": 0, "largest": None,
+                                "tail_from": 0}]
+        assert run(capsys, *argv) == (
+            0, "residue 40: count=0 largest=None (none)\n", "")
+
 
 class TestPatternCommands:
     def test_verify_agrees(self, capsys):

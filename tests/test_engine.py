@@ -17,6 +17,7 @@ from oracles import (fixed_point_fault, grow_to_count, naive_rep_count,
                      naive_ulam, rep_table, scatter_extend, scatter_generate,
                      shifting_bit_sieve, trailing_bit_sieve)
 
+ROOT = Path(__file__).resolve().parents[1]
 U12_PREFIX = [1, 2, 3, 4, 6, 8, 11, 13, 16, 18, 26, 28]
 # frozen from the brute-force oracle
 U23_TO_30 = [2, 3, 5, 7, 8, 9, 13, 14, 18, 19, 24, 25, 29, 30]
@@ -536,17 +537,46 @@ def test_count_doubling_across_the_kernel_threshold(a, b):
     assert p.term_list()[:500] == naive_ulam(a, b, want[499])
 
 
-def test_threshold_is_the_recorded_crossover():
-    # _BITS_MAX_HORIZON is what scripts/kernel_threshold.py derives from the
-    # kernel timings it recorded in BENCH_kernels.json
-    root = Path(__file__).resolve().parents[1]
+def timing_script():
+    """scripts/timing.py, loaded without running its main."""
     spec = importlib.util.spec_from_file_location(
-        "kernel_threshold", root / "scripts" / "kernel_threshold.py")
+        "timing", ROOT / "scripts" / "timing.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    record = json.loads((root / "BENCH_kernels.json").read_text())
+    return script
+
+
+def test_threshold_is_the_recorded_crossover():
+    # _BITS_MAX_HORIZON is what `scripts/timing.py kernels` derives from the
+    # kernel timings it recorded in BENCH_kernels.json, by the stated rule
+    script = timing_script()
+    record = json.loads((ROOT / "BENCH_kernels.json").read_text())
+    assert record["rule"] == script.RULE
     assert script.threshold(record["rows"]) == record["threshold"]
     assert record["threshold"] == engine._BITS_MAX_HORIZON
+
+
+def threshold_rows(bit_wins):
+    """Synthetic kernel rows: {horizon: [runs the bit planes win, per pair]},
+    out of 4 interleaved pairs of runs each."""
+    return [{"pair": [1, n], "horizon": horizon,
+             "fresh_byte_ms": [10.0] * 4,
+             "fresh_bit_ms": [5.0] * won + [20.0] * (4 - won)}
+            for horizon, per_pair in bit_wins.items()
+            for n, won in enumerate(per_pair, 2)]
+
+
+@pytest.mark.parametrize("bit_wins, expected", [
+    # a clear win everywhere: the largest horizon
+    ({1 << 14: [4, 4], 1 << 15: [4, 4], 1 << 16: [4, 4]}, 1 << 16),
+    # a tie, 2 of 4 pairs of runs, excludes its horizon; a narrow
+    # majority for every pair keeps one
+    ({1 << 14: [4, 4], 1 << 15: [3, 3], 1 << 16: [4, 2]}, 1 << 15),
+    # a loss everywhere: none
+    ({1 << 14: [0, 1], 1 << 15: [1, 0], 1 << 16: [0, 0]}, 0),
+], ids=["clear-win", "tie", "loss"])
+def test_threshold_counts_paired_wins(bit_wins, expected):
+    assert timing_script().threshold(threshold_rows(bit_wins)) == expected
 
 
 @settings(deadline=None, max_examples=25)
@@ -588,7 +618,7 @@ def test_fixed_point_oracle_finds_the_first_fault(pair, horizon, change, data):
 @pytest.mark.parametrize("a, b", [(1, 2), (1, 3), (2, 5), (1, 1000),
                                   (1, 5000)])
 def test_bit_planes_at_the_threshold_pass_the_fixed_point_oracle(a, b):
-    # the pairs scripts/kernel_threshold.py times, at the largest horizon
+    # the pairs `scripts/timing.py kernels` times, at the largest horizon
     # the bit planes sieve; above 2^18 only the byte tables sieved before
     horizon = engine._BITS_MAX_HORIZON
     terms = engine.generate_to_horizon(params(a, b), horizon).term_list()

@@ -94,6 +94,12 @@ class TestFitComponents:
             PatternComponent(A2=4, p=2, B2=5, q=-1),
         )
 
+    def test_runs_as_lists_fit(self):
+        # JSON-decoded samples, as in `mine --log` events, hold lists
+        samples = self.synthetic([4, 6, 8], [(1, 0, 2, 0), (4, 2, 5, -1)])
+        decoded = [(n, [list(run) for run in sample]) for n, sample in samples]
+        assert fit_components(decoded, 2, 0) == fit_components(samples, 2, 0)
+
     def test_too_few_samples(self):
         samples = self.synthetic([4, 6], [(1, 0, 1, 0)])
         with pytest.raises(InvalidParameters):

@@ -48,6 +48,6 @@ def record(name):
 
 def test_performance_tables_match_the_records():
     text = README.read_text(encoding="utf-8")
-    assert script("startup").render(record("BENCH_startup.json")) in text
-    assert script("kernel_threshold").table(
-        record("BENCH_kernels.json")["rows"]) in text
+    timing = script("timing")
+    assert timing.render(record("BENCH_startup.json")) in text
+    assert timing.table(record("BENCH_kernels.json")["rows"]) in text
