@@ -36,7 +36,7 @@ _CRC = struct.Struct("<I")
 _CONTINUED = re.compile(rb"[\x80-\xff]+")
 # get_count's margin over the density estimate of the k-th term, as a
 # divisor. From a prefix holding 60% of k, the estimate falls short by at
-# most 1/6 for the pairs and horizons scripts/kernel_threshold.py measures
+# most 1/6 for the pairs and horizons `scripts/timing.py kernels` measures
 # wherever one step of at most 2h can reach k: by 16% for U(1,1000) at
 # 3·2^17, by at most 2.2% for U(1,2), U(1,3) and U(2,5).
 _COUNT_MARGIN = 6

@@ -319,9 +319,6 @@ def cmd_sweep(args) -> int:
     text = "\n".join(lines) if lines else "no qualifying n"
     fields = ("n", "range_lo", "range_hi", "agrees", "first_mismatch", "error")
     _write_jsonl(args.report_jsonl, obj["entries"])
-    if args.report_csv:
-        atomic_write_text(args.report_csv,
-                          _render("csv", obj, text, fields, rows))
     _emit(args, obj, text, fields, rows)
     return _verdict(args, all(e.report and e.report.agrees for e in entries))
 
@@ -543,8 +540,6 @@ COMMANDS = {
                       "help": "first parameter of each pair (default 1)"}),
         ("--report-jsonl", {**_PATH, "help":
                             "also write one JSON object per n to PATH"}),
-        ("--report-csv", {**_PATH,
-                          "help": "also write a CSV summary to PATH"}),
         # command lines that predate the one-thread sweep, the family-sweep
         # benchmark's among them, still pass --threads
         ("--threads", {"type": int, "default": 1, "help":

@@ -36,7 +36,7 @@ from .errors import HorizonTooLarge, InsufficientHorizon, InvalidParameters
 MAX_HORIZON_DEFAULT = 50_000_000
 
 # The largest horizon sieved on bit planes, 7·2^16 = 458,752: the largest
-# horizon that scripts/kernel_threshold.py measures at which they beat the
+# horizon that `scripts/timing.py kernels` measures at which they beat the
 # byte tables plus numpy's import in fresh processes for every pair
 # (README, "Performance"; BENCH_kernels.json).
 _BITS_MAX_HORIZON = 7 << 16
@@ -184,8 +184,8 @@ class UlamPrefix:
         set_(self, "ints", memoryview(_int64_bytes(terms)).cast("q"))
         set_(self, "horizon", horizon)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"UlamPrefix is immutable; cannot set {name!r}")
+    __setattr__ = _Record.__setattr__
+    __delattr__ = _Record.__delattr__
 
     def __len__(self) -> int:
         return len(self.ints)

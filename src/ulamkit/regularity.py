@@ -210,20 +210,18 @@ def density_inequality_check(params: UlamParams, q_num: int, q_den: int,
         raise InvalidParameters("k must be positive")
     if N < 0:
         raise InvalidParameters("N must be nonnegative")
-    if N > n_max:
-        return DensityCheckResult(True, None)
-    terms = _source(store).get(params, max(n_max, params.b)).ints
     # With m = n + 1 and c = C(n) the inequality fails where
     # f(m) = (q_num*k + q_den*m)*m - q_den*k*c is negative. C is constant
     # between terms, and on such a run f is negative at the first m already
     # (when q_num*k + q_den*m < 0) or rises from there, so only n = N and
     # the terms above N can be the least violation. As c <= m, f >= 0 once
-    # q_den*m >= k*(q_den - q_num): the scan ends before that.
+    # q_den*m >= k*(q_den - q_num): the scan and its prefix end before that.
     last = min(n_max, -(-k * (q_den - q_num) // q_den) - 2)
+    if N > last:
+        return DensityCheckResult(True, None)
+    terms = _source(store).get(params, max(last, params.b)).ints
     i = bisect_right(terms, N)
     for c, n in enumerate(chain((N,), terms[i:bisect_right(terms, last)]), i):
-        if n > last:
-            break
         if q_den * k * c > (q_num * k + q_den * (n + 1)) * (n + 1):
             return DensityCheckResult(False, n)
     return DensityCheckResult(True, None)

@@ -66,22 +66,23 @@ def verify_segment(code: PatternCode, params: UlamParams, N: int, M: int,
     ident = code_id(code)
     if N > M:
         return SegmentReport(params.a, params.b, ident, N, M, True, None, 0)
-    prefix = _source(store).get(params, max(M, params.b))
     a, b = params.a, params.b
     # No member lies below a, so the least point of the code in [N, a) is
-    # the first mismatch. Found per block by arithmetic, it keeps a window
-    # far below 1 from costing a byte per integer.
+    # the first mismatch, with no prefix read. Found per block by arithmetic,
+    # a window far below 1 costs nothing per integer.
     first = min((m for m, _, _ in _blocks(code.components, a, b, N,
                                            min(M, a - 1))), default=None)
-    direction = IN_PATTERN_NOT_ULAM
-    if first is None:
-        base = max(N, a)
-        low = _mismatches(code, prefix, base, M).find(1)
-        if low < 0:
-            return SegmentReport(a, b, ident, N, M, True, None, M - N + 1)
-        first = base + low
-        if prefix.contains(first):
-            direction = IN_ULAM_NOT_PATTERN
+    if first is not None:
+        return SegmentReport(a, b, ident, N, M, False,
+                             (first, IN_PATTERN_NOT_ULAM), first - N)
+    prefix = _source(store).get(params, max(M, b))
+    base = max(N, a)
+    low = _mismatches(code, prefix, base, M).find(1)
+    if low < 0:
+        return SegmentReport(a, b, ident, N, M, True, None, M - N + 1)
+    first = base + low
+    direction = (IN_ULAM_NOT_PATTERN if prefix.contains(first)
+                 else IN_PATTERN_NOT_ULAM)
     return SegmentReport(a, b, ident, N, M, False, (first, direction),
                          first - N)
 

@@ -618,11 +618,13 @@ STORE_CALLS = [
     ("empirical_density",
      lambda p, s: empirical_density(p, 300, store=s).ratio,
      lambda t: Fraction(_count(t, 300), 301)),
+    # k = 300 puts the scan's bound at n = 298, above the cap of 25 that
+    # test_store_carries_the_cap sets
     ("density_inequality_check",
-     lambda p, s: density_inequality_check(p, 0, 1, 9, 1, 300, store=s),
+     lambda p, s: density_inequality_check(p, 0, 1, 300, 1, 300, store=s),
      lambda t: DensityCheckResult(*next(
          ((False, n) for n in range(1, 301)
-          if 9 * _count(t, n) > (n + 1) ** 2), (True, None)))),
+          if 300 * _count(t, n) > (n + 1) ** 2), (True, None)))),
     ("verify_segment",
      lambda p, s: verify_segment(WIDE, p, 1, 300, store=s).first_mismatch,
      lambda t: first_mismatch(t, 300)),
@@ -674,6 +676,12 @@ class TestStoreParameter:
     def test_store_carries_the_cap(self, name, call, oracle):
         with pytest.raises(HorizonTooLarge):
             call(validate_params(1, 2), PrefixStore(max_horizon=25))
+
+    def test_density_scan_under_the_cap(self):
+        # k = 9 bounds the scan by n <= 7, so a cap of 25 does not bind
+        assert density_inequality_check(
+            validate_params(1, 2), 0, 1, 9, 1, 300,
+            store=PrefixStore(max_horizon=25)) == DensityCheckResult(False, 1)
 
     def test_family_sweep_and_mine(self, tmp_path, writes):
         code = PatternCode((PatternComponent(A2=4, B2=5, p=2, q=-1),))

@@ -130,6 +130,16 @@ class TestAnalysisCommands:
                          "--expect-agree")
         assert code == 1
 
+    def test_density_check_reads_only_its_scan(self, capsys, tmp_path):
+        # k = 20 and q = 1/13 bound the scan by n <= 17, so an n_max far
+        # past the resource limit is answered from a prefix to 17
+        code, out, err = run(capsys, "density-check", "--a", "1", "--b", "2",
+                             "--q", "1/13", "--k", "20",
+                             "--n-max", str(10**12),
+                             "--cache-dir", str(tmp_path))
+        assert (code, out, err) == (0, "violated at n=1\n", "")
+        assert cache_read(tmp_path / "u1_2.ulam").horizon <= 17
+
     def test_census_all_residues(self, capsys):
         code, obj = run_json(capsys, "census", "--a", "2", "--b", "5",
                              "--horizon", "3000", "--modulus", "2")
@@ -186,6 +196,20 @@ class TestPatternCommands:
         assert code == 1
         assert obj["first_mismatch"]["m"] == 40
 
+    def test_verify_mismatch_below_a_reads_no_prefix(self, capsys, tmp_path):
+        # the code's one point, 5, lies below a = 1000: it is the first
+        # mismatch, found without the sieve to --hi past the resource limit
+        point = json.dumps({"components": [
+            {"A1": 0, "A2": 0, "B1": 0, "B2": 0, "p": 5, "q": 5, "L": 1,
+             "S": [0], "unbounded": False}]})
+        code, out, err = run(capsys, "verify-pattern", "--a", "1000",
+                             "--b", "1001", "--code", point, "--lo", "1",
+                             "--hi", str(10**8), "--cache-dir", str(tmp_path))
+        assert (code, out, err) == (
+            0, "mismatch at 5 (in-pattern-not-ulam); "
+               "4 positions agreed before it\n", "")
+        assert list(tmp_path.iterdir()) == []
+
     def test_code_from_file(self, capsys, tmp_path):
         path = tmp_path / "code.json"
         path.write_text(BLOCK_CODE)
@@ -208,20 +232,17 @@ class TestPatternCommands:
         assert mined_code == 0
         code_text = json.dumps(obj["code"])
         jsonl = tmp_path / "sweep.jsonl"
-        csv_path = tmp_path / "sweep.csv"
         code, out, _ = run(capsys, "sweep", "--code", code_text,
                            "--modulus", "1", "--residue", "0",
                            "--n-from", "4", "--n-to", "12",
                            "--seg-c", "5", "--seg-d", "-1",
                            "--expect-agree",
-                           "--report-jsonl", str(jsonl),
-                           "--report-csv", str(csv_path))
+                           "--report-jsonl", str(jsonl))
         assert code == 0
         assert out.count("agrees") == 9
         lines = jsonl.read_text().splitlines()
         assert len(lines) == 9
         assert all(json.loads(line)["report"]["agrees"] for line in lines)
-        assert csv_path.read_text().splitlines()[0].startswith("n,range_lo")
 
     def test_sweep_mismatch_expect_agree(self, capsys):
         code, _, _ = run(capsys, "sweep", "--code", BLOCK_CODE,
@@ -236,17 +257,18 @@ def temporary_files(directory):
 
 
 class TestReportFiles:
-    """--report-csv, --report-jsonl and mine --log render what stdout does."""
+    """--out, --report-jsonl and mine --log render what stdout does."""
 
     SWEEP = ("sweep", "--code", BLOCK_CODE, "--modulus", "1", "--residue",
              "0", "--n-from", "1", "--n-to", "8", "--seg-c", "4",
              "--seg-d", "9")
 
-    def test_report_csv_is_the_csv_table(self, capsys, tmp_path):
+    def test_out_csv_is_the_csv_table(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
-        code, out, _ = run(capsys, *self.SWEEP, "--format", "csv",
-                           "--report-csv", str(path))
+        code, out, _ = run(capsys, *self.SWEEP, "--format", "csv")
         assert code == 0
+        assert run(capsys, *self.SWEEP, "--format", "csv",
+                   "--out", str(path))[0] == 0
         assert path.read_bytes() == out.encode("utf-8")
         assert out.splitlines()[:2] == [
             "n,range_lo,range_hi,agrees,first_mismatch,error",

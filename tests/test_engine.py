@@ -97,8 +97,13 @@ class TestGenerate:
         p = engine.generate_to_horizon(params(1, 2), 28)
         assert p.ints.readonly and p.ints.format == "q"
         assert p.ints.tolist() == p.term_list() == U12_PREFIX
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError,
+                           match="UlamPrefix is immutable; cannot set 'horizon'"):
             p.horizon = 30
+        with pytest.raises(AttributeError,
+                           match="UlamPrefix is immutable; cannot delete"):
+            del p.horizon
+        assert p.horizon == 28
         # an int64 ndarray, a non-int64 ndarray, bytes and a list all build
         # the same prefix
         for given in (np.array(U12_PREFIX, dtype=np.int64),

@@ -102,14 +102,14 @@ STEPS = [
     ("mined-file", "mined.json", MINED_CODE),
     ("sweep-reports", (*SWEEP, "--code", "@mined.json", "--n-from", "1",
                        "--n-to", "9", "--report-jsonl", "sweep.jsonl",
-                       "--report-csv", "sweep.csv", "--threads", "2", *CACHE)),
+                       "--threads", "2", *CACHE)),
     ("sweep-mismatch", ("sweep", "--code", BLOCK_CODE, "--modulus", "2",
                         "--residue", "0", "--n-from", "4", "--n-to", "9",
                         "--seg-c", "5", "--seg-d", "-1", "--expect-agree",
-                        "--report-csv", "mismatch.csv", *CACHE)),
+                        *CACHE)),
     ("sweep-empty", (*SWEEP, "--code", BLOCK_CODE, "--n-from", "5",
                      "--n-to", "4", "--report-jsonl", "empty.jsonl",
-                     "--report-csv", "empty.csv", *CACHE)),
+                     *CACHE)),
     ("export-ap", ("export-ap", "--a", "2", "--b", "5", "--horizon", "1500",
                    *CACHE)),
     ("export-presburger", ("export-presburger", "--a", "2", "--b", "5",

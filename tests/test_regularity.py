@@ -9,6 +9,7 @@ from oracles import (naive_detect_period, naive_runs, naive_ulam,
                      reconstruct_term, scan_density_check, scan_lower_density,
                      vector_gaps, vector_residue_census)
 from ulamkit import engine, progressions, regularity
+from ulamkit.cache import PrefixStore, cache_path, cache_read
 from ulamkit.errors import InvalidParameters
 from ulamkit.patterns import PatternCode, PatternComponent, pattern_set
 from ulamkit.regularity import REFUTED, UNKNOWN, VERIFIED
@@ -249,6 +250,14 @@ class TestDensityInequality:
     def test_empty_range_vacuous(self):
         r = regularity.density_inequality_check(params(1, 2), 0, 1, 5, 50, 10)
         assert r.holds and r.first_violation is None
+
+    def test_prefix_ends_at_the_scan_bound(self, tmp_path):
+        # k = 20 and q = 1/13 put the scan's last n at 17, so n_max far past
+        # the resource limit still gets its answer, from a short file
+        r = regularity.density_inequality_check(
+            params(1, 2), 1, 13, 20, 1, 10**12, store=PrefixStore(tmp_path))
+        assert (r.holds, r.first_violation) == (False, 1)
+        assert cache_read(cache_path(tmp_path, params(1, 2))).horizon <= 17
 
 
 class TestCensus:
@@ -569,17 +578,34 @@ def density_case(q_num):
                      st.integers(0, 2500), st.integers(0, 3000))
 
 
+class RecordingStore(PrefixStore):
+    """A PrefixStore that touches no disk and records each horizon asked."""
+
+    def __init__(self):
+        super().__init__()
+        self.horizons = []
+
+    def get(self, params, horizon):
+        self.horizons.append(horizon)
+        return super().get(params, horizon)
+
+
 class TestDensityAgainstScan:
     """density_inequality_check against the n-by-n scan it replaced."""
 
     @staticmethod
     def check(case):
         pair, q_num, q_den, k, N, n_max = case
+        store = RecordingStore()
         got = regularity.density_inequality_check(params(*pair), q_num, q_den,
-                                                  k, N, n_max)
+                                                  k, N, n_max, store=store)
         p = prefix(*pair, max(n_max, pair[1]))
         assert (got.holds, got.first_violation) == scan_density_check(
             p, q_num, q_den, k, N, n_max)
+        # the scan ends where k*(q_den - q_num) <= q_den*(n + 1), and so do
+        # the prefixes it asks for
+        last = min(n_max, -(-k * (q_den - q_num) // q_den) - 2)
+        assert all(h <= max(last, pair[1]) for h in store.horizons)
 
     @given(density_case(st.integers(-60, -1)))
     @settings(max_examples=200, deadline=None)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulamkit import engine, rigidity
+from ulamkit.cache import PrefixStore
 from ulamkit.errors import ApplicabilityError, InvalidParameters
 from ulamkit.patterns import (Applicability, PatternCode, PatternComponent,
                               b_max, code_id, eval_endpoints, in_pattern,
@@ -270,6 +271,18 @@ def test_point_far_below_one_is_found_by_arithmetic(monkeypatch):
             False, (first, rigidity.IN_PATTERN_NOT_ULAM), first - far)
         assert rigidity._threshold(code, prefix, 10) == setxor_threshold(
             code, prefix, 10)
+
+
+def test_point_below_a_reads_no_prefix(tmp_path):
+    # the code's one point, 5, lies below a, so it is the first mismatch
+    # before any term is read: a store capped at b is never asked for M
+    code = PatternCode((PatternComponent(p=5, q=5),))
+    store = PrefixStore(tmp_path, max_horizon=1001)
+    r = rigidity.verify_segment(code, params(1000, 1001), 1, 10**8,
+                                store=store)
+    assert (r.agrees, r.first_mismatch, r.matched_count) == (
+        False, (5, rigidity.IN_PATTERN_NOT_ULAM), 4)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_many_one_point_components_and_a_masked_tail():
